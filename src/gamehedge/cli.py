@@ -31,7 +31,6 @@ import sys
 import numpy as np
 
 from .drbsde import dynkin_bruteforce, solve_drbsde
-from .drivers import audit_driver, audit_family
 from .errors import (
     AuditFailure,
     BarrierViolation,
@@ -71,11 +70,12 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], blocks) -> None:
+    """Header row, then each block: rows already joined, newline-terminated."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for block in blocks:
+            fh.write(block)
 
 
 def _write_json(path: str, obj) -> None:
@@ -83,15 +83,20 @@ def _write_json(path: str, obj) -> None:
         fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _node_rows(lattice, fields):
-    """Canonical node order: step asc, alive before defaulted, j asc."""
+def _node_rows(lattice, fields, fmt=repr):
+    """One block of CSV rows per layer, in canonical node order: step asc,
+    alive before defaulted, j asc.  Each row is step, j, status and fmt of
+    every field's value; the default repr of a Python float equals
+    `_fmt` of the float64 it came from.
+    """
     for k in range(lattice.n_steps + 1):
         for defaulted in (False, True):
-            cols = [f.layer(k, defaulted) for f in fields]
-            size = cols[0].shape[0] if cols else 0
-            for j in range(size):
-                yield [str(k), str(j), "1" if defaulted else "0"] + [
-                    _fmt(c[j]) for c in cols]
+            cols = [f.layer(k, defaulted).tolist() for f in fields]
+            size = len(cols[0]) if cols else 0
+            status = "1" if defaulted else "0"
+            prefixes = [f"{k},{j},{status}" for j in range(size)]
+            rows = zip(prefixes, *(map(fmt, c) for c in cols))
+            yield "".join(",".join(row) + "\n" for row in rows)
 
 
 def _threads() -> int:
@@ -145,8 +150,7 @@ def _cmd_hedge(ns, built: BuiltScenario) -> int:
                _node_rows(lattice, [strat.phi1, strat.phi2]))
     _write_csv(os.path.join(ns.out, "stopping.csv"),
                ["step", "j", "default_status", "stop"],
-               ([a, b, c, str(int(float(v)))] for a, b, c, v in
-                _node_rows(lattice, [rule.flags])))
+               _node_rows(lattice, [rule.flags], lambda v: str(int(v))))
     report = {
         "command": "hedge",
         "price": float(sol.y0),
@@ -176,13 +180,13 @@ def _cmd_robust(ns, built: BuiltScenario) -> int:
                                tol=float(built.options["tolerance"]))
     _write_csv(os.path.join(ns.out, "alphas.csv"),
                ["index", "alpha", "price"],
-               ([str(i), _fmt(a), _fmt(v)] for i, (a, v) in
+               (f"{i},{_fmt(a)},{_fmt(v)}\n" for i, (a, v) in
                 enumerate(zip(fam.u_grid, result.per_alpha))))
-    grid = np.asarray(fam.u_grid, dtype=float)
+    alpha_txt = [_fmt(a) for a in fam.u_grid]
     _write_csv(os.path.join(ns.out, "worst_alpha.csv"),
                ["step", "j", "default_status", "alpha_index", "alpha"],
-               ([a, b, c, str(int(float(v))), _fmt(grid[int(float(v))])]
-                for a, b, c, v in _node_rows(lattice, [result.worst_alpha])))
+               _node_rows(lattice, [result.worst_alpha],
+                          lambda v: f"{v},{alpha_txt[v]}"))
     cert_rows = [{
         "alpha": float(a),
         "violations": int(r.violations),
@@ -222,10 +226,7 @@ def _audit_payload(rep) -> dict:
 def _cmd_verify(ns, built: BuiltScenario) -> int:
     lattice, d, p = built.lattice, built.driver, built.payoff
     tol = float(built.options["tolerance"])
-    if built.family is not None:
-        audits = [_audit_payload(r) for r in audit_family(built.family, lattice)]
-    else:
-        audits = [_audit_payload(audit_driver(d, lattice))]
+    audits = [_audit_payload(r) for r in built.audits]
 
     sol = solve_drbsde(lattice, d, p)
     scale = 1.0 + max(abs(float(sol.xi.root)), abs(float(sol.zeta.root)),

@@ -4,6 +4,27 @@ A driver is admissible when it is Lipschitz in (y, z) and Lipschitz in the
 jump integrand k with weight sqrt(lam_t), so that any k-dependence dies
 with the intensity.  Audits probe user closures numerically on grids; the
 builtins carry constants computed from their coefficients.
+
+Audit cost.  `audit_driver` evaluates g on m probes (m = points^3, 125 by
+default) at every (step, default-status) context, one column per node of
+the layer: O(n * m * width).  The pair pass, over the m(m-1)/2 probe
+pairs, costs O(m^2) per column, and runs on far fewer contexts:
+
+- Node columns that are bitwise equal collapse to one column.  No
+  builtin reads s1 or s2, so their width is 1; a driver that does keeps
+  every column.
+- A single-column context is keyed on (lam, the bytes of its values),
+  which is everything the pair pass reads apart from t and the default
+  status.  Those two enter only the `worst` record, which is replaced on a
+  strict improvement; a later context with the same key reproduces the
+  same maxima and minima, improves nothing, and is skipped.  Steps whose
+  rate, intensity or shift differ give different bytes and get their own
+  pass.  Full-width contexts are not keyed, so stored keys stay at m
+  floats each; they seldom repeat anyway, as only alive step k and
+  defaulted step k+1 share a width.
+
+Total: O(n * m * width + distinct contexts * m^2).  The result equals a
+pass over every context and every column, field by field.
 """
 
 from __future__ import annotations
@@ -109,6 +130,8 @@ def make_builtin_driver(kind: str, mp: MarketParams, *, borrow_rate: float | Non
         if borrow_rate is None:
             raise InvalidParams("borrow_lend needs borrow_rate")
         rr = float(borrow_rate)
+        if not math.isfinite(rr):
+            raise InvalidParams(f"borrow_rate must be finite, got {rr!r}")
         if np.any(rr < r_steps):
             raise InvalidParams("borrow rate must dominate the lending rate")
         spread = rr - r_steps
@@ -206,13 +229,20 @@ class AuditReport:
 
 
 def _eval_grid(d: Driver, ctx: StepContext, probes: np.ndarray) -> np.ndarray:
+    """g on every probe (rows) at every node of the layer (columns).
+
+    When every node column is bitwise equal to column 0, one column stands
+    for all of them: each quantity the audit takes from the grid is a max,
+    min or first argmax over rows and columns, which identical columns
+    cannot change.  A driver that reads s1 or s2 keeps its full width.
+    """
     width = max(ctx.s1.shape[0], 1)
-    y = probes[:, 0:1]
-    z = probes[:, 1:2]
-    k = probes[:, 2:3]
-    out = d(ctx, y, z, k)
-    out = np.asarray(out, dtype=float)
-    return np.broadcast_to(out, (probes.shape[0], width)).copy()
+    out = np.asarray(d(ctx, probes[:, 0:1], probes[:, 1:2], probes[:, 2:3]), dtype=float)
+    vals = np.broadcast_to(out, (probes.shape[0], width))
+    bits = vals.view(np.uint64)
+    if np.all(bits == bits[:, :1]):
+        return np.ascontiguousarray(vals[:, :1])
+    return vals.copy()
 
 
 def audit_driver(d: Driver, lattice: Lattice, spec: AuditSpec | None = None) -> AuditReport:
@@ -222,21 +252,25 @@ def audit_driver(d: Driver, lattice: Lattice, spec: AuditSpec | None = None) -> 
     monotonicity quotient gamma = dg / (dk * lam) is minimized over pairs
     that differ only in k at contexts with positive intensity; at contexts
     with zero intensity those pairs must leave g unchanged.
+
+    g is evaluated at every context; the pair pass runs once per distinct
+    single-column (lam, values) key, see the module docstring.
     """
     spec = spec or AuditSpec()
     probes = spec.grid()
-    m = probes.shape[0]
-    dy = np.abs(probes[:, None, 0] - probes[None, :, 0])
-    dz = np.abs(probes[:, None, 1] - probes[None, :, 1])
-    dk = probes[:, None, 2] - probes[None, :, 2]
-    same_yz = (dy == 0) & (dz == 0)
-    iu = np.triu_indices(m, k=1)
+    ia, ib = np.triu_indices(probes.shape[0], k=1)
+    dy = np.abs(probes[ia, 0] - probes[ib, 0])
+    dz = np.abs(probes[ia, 1] - probes[ib, 1])
+    dk = probes[ia, 2] - probes[ib, 2]
+    konly = (dy == 0) & (dz == 0) & (np.abs(dk) > 0)
+    dk_konly = dk[konly][:, None]
 
     max_ratio = 0.0
     gamma_min: float | None = None
     max_k_dep = 0.0
     worst: dict | None = None
     g_scale = 0.0
+    seen: set = set()
 
     for step in range(lattice.n_steps):
         statuses = [False]
@@ -246,34 +280,35 @@ def audit_driver(d: Driver, lattice: Lattice, spec: AuditSpec | None = None) -> 
             ctx = lattice.step_context(step, defaulted)
             vals = _eval_grid(d, ctx, probes)
             g_scale = max(g_scale, float(np.max(np.abs(vals))))
-            dg = np.abs(vals[:, None, :] - vals[None, :, :])
-            denom = dy + dz + math.sqrt(ctx.lam) * np.abs(dk)
+            if vals.shape[1] == 1:
+                key = (ctx.lam, vals.tobytes())
+                if key in seen:
+                    continue
+                seen.add(key)
 
-            den = denom[iu]
-            num = dg[iu[0], iu[1], :]
+            diff = vals[ia] - vals[ib]
+            num = np.abs(diff)
+            den = dy + dz + math.sqrt(ctx.lam) * np.abs(dk)
             pos = den > 0
             if np.any(pos):
                 ratios = num[pos, :] / den[pos][:, None]
                 idx = np.unravel_index(np.argmax(ratios), ratios.shape)
                 if ratios[idx] > max_ratio:
                     max_ratio = float(ratios[idx])
-                    a = iu[0][np.nonzero(pos)[0][idx[0]]]
-                    b = iu[1][np.nonzero(pos)[0][idx[0]]]
+                    pair = np.nonzero(pos)[0][idx[0]]
+                    a, b = ia[pair], ib[pair]
                     worst = {"t": ctx.t, "defaulted": defaulted,
                              "p1": probes[a].tolist(), "p2": probes[b].tolist(),
                              "ratio": float(ratios[idx])}
 
-            konly = same_yz[iu] & (np.abs(dk[iu]) > 0)
             if np.any(konly):
-                num_k = num[konly, :]
                 if ctx.lam > 0:
-                    signed = (vals[iu[0], :] - vals[iu[1], :])[konly, :]
-                    quot = signed / (dk[iu][konly][:, None] * ctx.lam)
+                    quot = diff[konly, :] / (dk_konly * ctx.lam)
                     gmin = float(np.min(quot))
                     if gamma_min is None or gmin < gamma_min:
                         gamma_min = gmin
                 else:
-                    dep = float(np.max(num_k))
+                    dep = float(np.max(num[konly, :]))
                     if dep > max_k_dep:
                         max_k_dep = dep
 

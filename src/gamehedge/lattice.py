@@ -315,6 +315,12 @@ class Lattice:
         return NodeField.from_function(self, fn)
 
 
+def _require_finite(name: str, value) -> None:
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidParams(f"{name} must be finite, got {value!r}")
+
+
 def build_lattice(lp: LatticeParams, mp: MarketParams) -> Lattice:
     """Validate parameters and precompute per-layer asset values.
 
@@ -323,6 +329,9 @@ def build_lattice(lp: LatticeParams, mp: MarketParams) -> Lattice:
     before default and is identically 0 after; S0 compounds the short
     rate.  Defaulted layer k sits on levels (2j - (k-1)) sqrt(dt).
     """
+    _require_finite("horizon", lp.horizon)
+    for name in ("r", "mu1", "sigma1", "mu2", "sigma2", "lambda_bar", "s1_0", "s2_0"):
+        _require_finite(name, getattr(mp, name))
     if lp.horizon <= 0 or lp.n_steps < 1:
         raise InvalidParams("horizon must be positive and n_steps >= 1")
     if mp.sigma1 <= 0:

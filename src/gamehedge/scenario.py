@@ -27,13 +27,16 @@ formulas use the grammar
             | 'pos' '(' expr ')' | '(' expr ')'
 
 and nothing else; `defaulted` is 1.0 after default, else 0.0.  Times are
-in years, numbers decimal.  The canonical serialization (sorted keys,
-two-space indent, trailing newline) is byte-stable under re-parsing.
+in years, numbers decimal and finite: NaN, Infinity and numbers beyond
+the float range are refused, naming the field.  The canonical
+serialization (sorted keys, two-space indent, trailing newline) is
+byte-stable under re-parsing.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -41,7 +44,8 @@ from typing import Callable
 import numpy as np
 
 from .drbsde import PayoffSpec
-from .drivers import AmbiguityFamily, Driver, audit_driver, audit_family, make_builtin_driver
+from .drivers import (AmbiguityFamily, AuditReport, Driver, audit_driver, audit_family,
+                      make_builtin_driver)
 from .errors import ScenarioError
 from .lattice import Lattice, LatticeParams, MarketParams, build_lattice
 from .robust import default_ambiguity_family
@@ -172,7 +176,14 @@ def parse_payoff_expression(src: str) -> Callable:
 
 
 def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A JSON number with a finite float value: NaN, Infinity, 1e400 and
+    integers beyond the float range are refused."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _check_keys(d: dict, where: str, required: tuple, optional: tuple = ()):
@@ -198,11 +209,11 @@ def _validate_driver(spec: dict, where: str = "driver", nested: bool = False) ->
     elif kind == "borrow_lend":
         _check_keys(spec, where, ("kind", "borrow_rate"))
         if not _is_num(spec["borrow_rate"]):
-            raise ScenarioError(f"{where}.borrow_rate must be a number")
+            raise ScenarioError(f"{where}.borrow_rate must be a finite number")
     elif kind == "tax":
         _check_keys(spec, where, ("kind", "tax_rate"))
         if not _is_num(spec["tax_rate"]):
-            raise ScenarioError(f"{where}.tax_rate must be a number")
+            raise ScenarioError(f"{where}.tax_rate must be a finite number")
     elif kind == "ambiguity":
         if nested:
             raise ScenarioError(f"{where}.kind cannot nest ambiguity")
@@ -211,12 +222,12 @@ def _validate_driver(spec: dict, where: str = "driver", nested: bool = False) ->
         grid, nu = spec["u_grid"], spec["nu"]
         if (not isinstance(grid, list) or not grid
                 or not all(_is_num(a) for a in grid)):
-            raise ScenarioError(f"{where}.u_grid must be a nonempty list of numbers")
+            raise ScenarioError(f"{where}.u_grid must be a nonempty list of finite numbers")
         if len(set(grid)) != len(grid):
             raise ScenarioError(f"{where}.u_grid has duplicate entries")
         if (not isinstance(nu, list) or len(nu) != len(grid)
                 or not all(_is_num(v) for v in nu)):
-            raise ScenarioError(f"{where}.nu must list one number per u_grid entry")
+            raise ScenarioError(f"{where}.nu must list one finite number per u_grid entry")
     else:
         raise ScenarioError(f"{where}.kind {kind!r} not one of "
                             f"{_BUILTIN_KINDS + ('ambiguity',)}")
@@ -233,6 +244,7 @@ class BuiltScenario:
     family: AmbiguityFamily | None
     payoff: PayoffSpec
     options: dict
+    audits: tuple[AuditReport, ...]     # one per audited driver; empty if not audited
 
 
 @dataclass(frozen=True)
@@ -254,7 +266,7 @@ class Scenario:
         lat = raw["lattice"]
         _check_keys(lat, "lattice", ("horizon", "n_steps"))
         if not (_is_num(lat["horizon"]) and lat["horizon"] > 0):
-            raise ScenarioError("lattice.horizon must be a positive number")
+            raise ScenarioError("lattice.horizon must be a positive finite number")
         if not (isinstance(lat["n_steps"], int) and not isinstance(lat["n_steps"], bool)
                 and lat["n_steps"] >= 1):
             raise ScenarioError("lattice.n_steps must be an integer >= 1")
@@ -263,12 +275,12 @@ class Scenario:
                                     "lambda_bar", "s1_0", "s2_0"))
         for key in ("mu1", "sigma1", "mu2", "sigma2", "s1_0", "s2_0"):
             if not _is_num(mkt[key]):
-                raise ScenarioError(f"market.{key} must be a number")
+                raise ScenarioError(f"market.{key} must be a finite number")
         for key in ("r", "lambda_bar"):
             v = mkt[key]
             if not (_is_num(v) or (isinstance(v, list) and v
                                    and all(_is_num(x) for x in v))):
-                raise ScenarioError(f"market.{key} must be a number or list of numbers")
+                raise ScenarioError(f"market.{key} must be a finite number or a list of them")
         _validate_driver(raw["driver"])
         pay = raw["payoff"]
         _check_keys(pay, "payoff", ("xi", "zeta"))
@@ -279,9 +291,9 @@ class Scenario:
         for key, dflt in _OPTION_DEFAULTS.items():
             opts.setdefault(key, dflt)
         if not (_is_num(opts["epsilon"]) and opts["epsilon"] > 0):
-            raise ScenarioError("options.epsilon must be a positive number")
+            raise ScenarioError("options.epsilon must be a positive finite number")
         if not (_is_num(opts["tolerance"]) and opts["tolerance"] > 0):
-            raise ScenarioError("options.tolerance must be a positive number")
+            raise ScenarioError("options.tolerance must be a positive finite number")
         if not (isinstance(opts["max_oracle_steps"], int)
                 and not isinstance(opts["max_oracle_steps"], bool)
                 and opts["max_oracle_steps"] >= 1):
@@ -320,6 +332,7 @@ class Scenario:
 
         spec = self.data["driver"]
         family = None
+        audits: list[AuditReport] = []
         if spec["kind"] == "ambiguity":
             base = _make_builtin(spec["base"], mp)
             grid = np.asarray(spec["u_grid"], dtype=float)
@@ -336,18 +349,20 @@ class Scenario:
             family = default_ambiguity_family(base, nu_fn, tuple(grid), lattice)
             driver = family.sup_driver()
             if audit:
-                for rep in audit_family(family, lattice):
-                    rep.require()
+                audits = audit_family(family, lattice)
         else:
             driver = _make_builtin(spec, mp)
             if audit:
-                audit_driver(driver, lattice).require()
+                audits = [audit_driver(driver, lattice)]
+        for rep in audits:
+            rep.require()
 
         payoff = PayoffSpec(xi=parse_payoff_expression(self.data["payoff"]["xi"]),
                             zeta=parse_payoff_expression(self.data["payoff"]["zeta"]))
         payoff.layers(lattice)  # barrier order audited before any solve
         return BuiltScenario(scenario=self, lattice=lattice, driver=driver,
-                             family=family, payoff=payoff, options=self.options)
+                             family=family, payoff=payoff, options=self.options,
+                             audits=tuple(audits))
 
 
 def _make_builtin(spec: dict, mp: MarketParams) -> Driver:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .drbsde import DrbsdeSolution
 from .drivers import Driver
-from .errors import MismatchedInstances, ParamsInvalid, PreconditionViolated
+from .errors import MismatchedInstances, ParamsInvalid, PicardDivergence, PreconditionViolated
 from .lattice import Lattice, NodeField
 
 _REL_SLACK = 1e-12
@@ -221,7 +221,8 @@ def _step_implicit(b: Callable, t: float, prev: float, df: float, dt: float,
         if abs(nxt - y) <= tol * (1.0 + abs(nxt)):
             return nxt
         y = nxt
-    return y
+    raise PicardDivergence(
+        f"implicit step at t = {t} did not converge to {tol:g} in {max_iter} iterations")
 
 
 def ode_compare(b1: Callable, b2: Callable, x1: float, x2: float,
@@ -234,7 +235,9 @@ def ode_compare(b1: Callable, b2: Callable, x1: float, x2: float,
     fixed point as the backward solver, hence the same monotonicity
     condition lip * dt < 1).  Preconditions are literal: x1 >= x2, the
     forcing gap increments must be nonnegative, and b1 >= b2 along the
-    second solution; any breach raises with the offending step.
+    second solution; any breach raises with the offending step.  An
+    implicit step whose fixed-point iteration does not converge raises
+    PicardDivergence rather than returning the last iterate.
     """
     if mode not in ("implicit", "explicit"):
         raise ParamsInvalid(f"unknown mode {mode!r}")

@@ -117,6 +117,9 @@ def test_borrow_lend_validation():
         make_builtin_driver("borrow_lend", mp, borrow_rate=0.01)
     with pytest.raises(InvalidParams):
         make_builtin_driver("borrow_lend", mp)
+    for rate in (float("nan"), float("inf")):
+        with pytest.raises(InvalidParams, match="^borrow_rate must be finite"):
+            make_builtin_driver("borrow_lend", mp, borrow_rate=rate)
     with pytest.raises(InvalidParams):
         make_builtin_driver("tax", mp, tax_rate=1.5)
     with pytest.raises(InvalidParams):

@@ -190,6 +190,8 @@ def test_validation_errors():
         build_lattice(LatticeParams(horizon=-1.0, n_steps=4), mp)
     with pytest.raises(InvalidParams):
         build_lattice(LatticeParams(horizon=1.0, n_steps=0), mp)
+    with pytest.raises(InvalidParams, match="^horizon must be finite"):
+        build_lattice(LatticeParams(horizon=math.inf, n_steps=4), mp)
     bad_sigma = MarketParams(r=0.0, mu1=0.0, sigma1=0.0, mu2=0.0, sigma2=0.1,
                              lambda_bar=0.1, s1_0=1.0, s2_0=1.0)
     with pytest.raises(InvalidParams):
@@ -204,6 +206,19 @@ def test_validation_errors():
             MarketParams(r=(0.0, 0.0), mu1=0.0, sigma1=0.2, mu2=0.0, sigma2=0.1,
                          lambda_bar=0.1, s1_0=1.0, s2_0=1.0),
         )
+
+
+@pytest.mark.parametrize("field,value", [
+    ("mu1", math.nan), ("r", math.inf), ("r", (0.01, -math.inf, 0.02, 0.03)),
+    ("sigma2", math.nan), ("lambda_bar", (0.1, 0.1, math.nan, 0.1)),
+    ("s1_0", math.inf),
+])
+def test_non_finite_market_parameter_named(field, value):
+    base = dict(r=0.0, mu1=0.0, sigma1=0.2, mu2=0.0, sigma2=0.1,
+                lambda_bar=0.1, s1_0=1.0, s2_0=1.0)
+    mp = MarketParams(**{**base, field: value})
+    with pytest.raises(InvalidParams, match=f"^{field} must be finite"):
+        build_lattice(LatticeParams(horizon=1.0, n_steps=4), mp)
 
 
 def test_per_step_sequences():

@@ -217,6 +217,34 @@ def test_cli_parse_and_solver_exit_codes(tmp_path, capsys):
     assert main(["robust", "--scenario", path, "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("field,literal,message", [
+    ("market.mu1", "NaN", "market.mu1 must be a finite number"),
+    ("market.r", "Infinity", "market.r must be a finite number or a list of them"),
+    ("market.r", "-1e400", "market.r must be a finite number or a list of them"),
+    ("market.s1_0", "1" + "0" * 400, "market.s1_0 must be a finite number"),
+    ("market.lambda_bar[1]", "1e999",
+     "market.lambda_bar must be a finite number or a list of them"),
+    ("lattice.horizon", "Infinity", "lattice.horizon must be a positive finite number"),
+    ("driver.borrow_rate", "NaN", "driver.borrow_rate must be a finite number"),
+    ("options.tolerance", "NaN", "options.tolerance must be a positive finite number"),
+])
+def test_cli_non_finite_input_exits_1_naming_field(tmp_path, capsys, field,
+                                                   literal, message):
+    data = scenario_dict(driver={"kind": "borrow_lend", "borrow_rate": 0.06},
+                         options={})
+    data["market"]["lambda_bar"] = [0.3] * 6
+    section, key = field.split("[")[0].split(".")
+    if "[" in field:
+        data[section][key][1] = "@"
+    else:
+        data[section][key] = "@"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data).replace('"@"', literal), encoding="utf-8")
+    assert main(["price", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ScenarioError", "message": message}
+
+
 def test_cli_verify_passes(tmp_path):
     path = write_scenario(tmp_path, scenario_dict())
     out = tmp_path / "out"

@@ -11,6 +11,7 @@ from gamehedge import (
     MismatchedInstances,
     ParamsInvalid,
     PayoffSpec,
+    PicardDivergence,
     PreconditionViolated,
     apriori_check,
     build_lattice,
@@ -210,6 +211,15 @@ def test_ode_strict_gap_stays_strict():
     f = np.zeros(25)
     rep = ode_compare(b, b, 1.0, 0.999, f, f, dt=0.05, lip=0.8)
     assert rep.min_diff > 0.0
+
+
+def test_ode_implicit_step_refuses_unconverged_iterate():
+    # y -> prev + 0.99 y + df contracts by 0.99 per iteration: after the
+    # 200-iteration cap the error is still 0.99^200 ~ 0.13 of the start
+    b = lambda t, y: 0.99 * y / 0.1
+    f = np.cumsum(np.full(4, 0.1))
+    with pytest.raises(PicardDivergence):
+        ode_compare(b, b, 1.0, 1.0, f, f, dt=0.1, lip=9.9)
 
 
 def test_ode_precondition_errors():
