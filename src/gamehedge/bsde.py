@@ -11,7 +11,7 @@ super-hedging checks lean on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,28 +31,43 @@ PICARD_MAX_ITER = 100
 
 def implicit_continuation(ctx: StepContext, d: Driver, base, z, k, dt: float,
                           picard_tol: float = PICARD_TOL,
-                          max_iter: int = PICARD_MAX_ITER):
+                          max_iter: int = PICARD_MAX_ITER, *, batch: bool = False):
     """Solve y = base + g(ctx, y, z, k) * dt for y; returns (y, iterations).
 
     base absorbs the successor mean plus any source term (dividends).
     Convergence is geometric with ratio <= C * dt; the caller must have
-    checked the contraction condition.
+    checked the contraction condition.  Iteration stops once
+    max|dy| <= picard_tol * (1 + max|y|).  With batch, each column of the
+    trailing axis applies that rule alone and keeps its converged value,
+    so it equals its own solve; iterations counts the slowest column.
+    A non-finite iterate raises PicardDivergence at once.
     """
     base = np.asarray(base, dtype=float)
     if base.size == 0:
         return base.copy(), 0
+    where = f"step {ctx.step}{' (defaulted)' if ctx.defaulted else ''}"
+    active = np.ones(base.shape[1:], dtype=bool)
     y = base.copy()
     for i in range(max_iter):
         y_new = base + np.asarray(d(ctx, y, z, k), dtype=float) * dt
-        y_new = np.broadcast_to(y_new, base.shape) if y_new.shape != base.shape else y_new
-        diff = float(np.max(np.abs(y_new - y)))
-        y = np.array(y_new, dtype=float, copy=True)
-        scale = 1.0 + float(np.max(np.abs(y)))
-        if diff <= picard_tol * scale:
+        if batch:
+            diff = np.abs(y_new - y).max(axis=0)
+            finite = np.isfinite(diff[active]).all()
+            y = np.where(active, y_new, y)
+            active &= ~(diff <= picard_tol * (1.0 + np.abs(y).max(axis=0)))
+            done = not active.any()
+        else:
+            diff = float(np.abs(y_new - y).max())
+            finite = math.isfinite(diff)
+            y = y_new
+            done = diff <= picard_tol * (1.0 + float(np.abs(y).max()))
+        if not finite:
+            raise PicardDivergence(f"non-finite iterate at {where}, iteration {i + 1}")
+        if done:
             return y, i + 1
     raise PicardDivergence(
-        f"implicit step did not converge below {picard_tol:g} in {max_iter} iterations "
-        f"(last change {diff:.3g})")
+        f"implicit step at {where} did not converge below {picard_tol:g} in {max_iter} "
+        f"iterations (last change {np.max(np.where(active, diff, 0.0)):.3g})")
 
 
 def require_contraction(d: Driver, lattice: Lattice) -> None:
@@ -105,6 +120,59 @@ def terminal_layers(lattice: Lattice, terminal, step: int | None = None):
     return a, dv
 
 
+def backward_sweep(lattice: Lattice, d: Driver, top, n: int, *, barriers=None,
+                   dividends: NodeField | None = None,
+                   picard_tol: float = PICARD_TOL, max_iter: int = PICARD_MAX_ITER):
+    """The backward recursion below step n, from top = (alive, defaulted) values.
+
+    Per layer, top to bottom, alive before defaulted (empty layers skipped):
+    regress the successors to (mean, z, k), solve c = mean (+ dividend) +
+    g(t, c, z, k) dt, and set y = c, or clip(c, xi, zeta) with barriers =
+    (xi, zeta).  Yields (step, defaulted, c, y, z, k, iterations).  A 2-D
+    top (nodes x models) is a batch: ctx.s1/s2, barriers and dividends gain
+    a trailing axis and each column converges on its own.
+    """
+    batch = np.ndim(top[0]) == 2
+
+    def col(a):
+        return a[:, None] if batch else a
+
+    nxt = list(top)
+    for step in reversed(range(n)):
+        m_a, z_a, k_a, m_d, z_d = lattice.layer_regression(step, *nxt)
+        for defaulted, base, z, k in ((False, m_a, z_a, k_a),
+                                      (True, m_d, z_d, np.zeros_like(m_d))):
+            if base.size == 0:
+                nxt[defaulted] = base
+                continue
+            if dividends is not None:
+                base = base + col(dividends.layer(step, defaulted))
+            ctx = lattice.step_context(step, defaulted)
+            if batch:
+                ctx = replace(ctx, s1=col(ctx.s1), s2=col(ctx.s2))
+            c, it = implicit_continuation(ctx, d, base, z, k, lattice.dt, picard_tol,
+                                          max_iter, batch=batch)
+            y = c
+            if barriers is not None:
+                y = np.clip(c, *(col(b.layer(step, defaulted)) for b in barriers))
+            nxt[defaulted] = y
+            yield step, defaulted, c, y, z, k, it
+
+
+def node_fields(lattice: Lattice, rows: dict, width: int) -> list[NodeField]:
+    """width NodeFields from rows {(step, defaulted): (field 0, field 1, ...)};
+    a field past the end of its row, or a layer with no row, is zeros."""
+    def layers(i, defaulted, size):
+        out = []
+        for k in range(lattice.n_steps + 1):
+            row = rows.get((k, defaulted), ())
+            out.append(row[i] if i < len(row) else np.zeros(size(k)))
+        return out
+
+    return [NodeField(layers(i, False, lattice.alive_size),
+                      layers(i, True, lattice.defaulted_size)) for i in range(width)]
+
+
 @dataclass
 class BsdeSolution:
     """Node-indexed value and integrands of one backward solve."""
@@ -128,36 +196,21 @@ def solve_bsde(lattice: Lattice, d: Driver, terminal, *,
     """Backward solve from the terminal layer down to the root.
 
     terminal_step lets a solve start from an intermediate layer, which is
-    how the flow (consistency) property is exercised.
+    how the flow (consistency) property is exercised; layers above it
+    stay zero.
     """
     require_contraction(d, lattice)
     n = lattice.n_steps if terminal_step is None else terminal_step
     if not 1 <= n <= lattice.n_steps:
         raise InvalidParams("terminal_step out of range")
-    y = NodeField.zeros(lattice)
-    z = NodeField.zeros(lattice)
-    kf = NodeField.zeros(lattice)
-    term_a, term_d = terminal_layers(lattice, terminal, n)
-    y.alive[n] = term_a
-    y.defaulted[n] = term_d
-    dt = lattice.dt
+    top = terminal_layers(lattice, terminal, n)
+    rows = {(n, False): top[:1], (n, True): top[1:]}
     iters = 0
-    for step in reversed(range(n)):
-        m_a, z_a, k_a, m_d, z_d = lattice.layer_regression(step, y.alive[step + 1],
-                                                           y.defaulted[step + 1])
-        ctx = lattice.step_context(step, False)
-        c_a, it = implicit_continuation(ctx, d, m_a, z_a, k_a, dt, picard_tol, max_iter)
+    for step, defaulted, _, y, z, k, it in backward_sweep(
+            lattice, d, top, n, picard_tol=picard_tol, max_iter=max_iter):
+        rows[step, defaulted] = (y, z, k)
         iters += it
-        y.alive[step] = c_a
-        z.alive[step] = z_a
-        kf.alive[step] = k_a
-        if lattice.defaulted_size(step):
-            ctx_d = lattice.step_context(step, True)
-            kd = np.zeros_like(m_d)
-            c_d, it = implicit_continuation(ctx_d, d, m_d, z_d, kd, dt, picard_tol, max_iter)
-            iters += it
-            y.defaulted[step] = c_d
-            z.defaulted[step] = z_d
+    y, z, kf = node_fields(lattice, rows, 3)
     return BsdeSolution(lattice=lattice, y=y, z=z, k=kf, terminal_step=n, iterations=iters)
 
 

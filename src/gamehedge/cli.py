@@ -10,8 +10,11 @@ Exit codes: 0 success, 1 parse or audit failure, 2 solver failure,
 3 verification failure (an invariant the run was asked to certify does
 not hold).  Errors are emitted as one JSON object on stderr.  All outputs
 are deterministic: identical scenario and flags give byte-identical
-files.  GAMEHEDGE_THREADS caps internal parallelism (robust per-model
-solves); it does not change results.
+files.
+
+Every solve is one backward sweep (`bsde.backward_sweep`); `robust`
+solves all grid models in one sweep, a column per model on a trailing
+batch axis, each column's Picard iteration converging on its own.
 
 Files written to --out (default '.'): report.json always; price.csv for
 price; strategy.csv and stopping.csv for hedge; alphas.csv and
@@ -41,7 +44,6 @@ from .errors import (
     NegativeDividend,
     NoContraction,
     NuOutOfRange,
-    ParamsInvalid,
     PicardDivergence,
     PreconditionViolated,
     ScenarioError,
@@ -56,7 +58,7 @@ from .validation import EstimateParams, apriori_check
 ORACLE_TOL = 1e-10
 
 _PARSE_ERRORS = (ScenarioError, AuditFailure, BarrierViolation, InvalidParams,
-                 ParamsInvalid, NuOutOfRange, EmptyGrid, NegativeDividend, OSError)
+                 NuOutOfRange, EmptyGrid, NegativeDividend, OSError)
 _SOLVER_ERRORS = (NoContraction, PicardDivergence, DensityNotPositive, TooLarge,
                   UnknownNode, MismatchedInstances, PreconditionViolated)
 
@@ -99,20 +101,11 @@ def _node_rows(lattice, fields, fmt=repr):
             yield "".join(",".join(row) + "\n" for row in rows)
 
 
-def _threads() -> int:
-    raw = os.environ.get("GAMEHEDGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _cmd_price(ns, built: BuiltScenario) -> int:
     lattice, p = built.lattice, built.payoff
     sol = solve_drbsde(lattice, built.driver, p)
     if built.family is not None:
-        buyer = robust_buyer_price(lattice, built.family, p, audit=False,
-                                   threads=_threads())
+        buyer = robust_buyer_price(lattice, built.family, p, audit=False)
     else:
         buyer = buyer_superhedge(lattice, built.driver, p).price
     _write_csv(os.path.join(ns.out, "price.csv"),
@@ -175,7 +168,7 @@ def _cmd_robust(ns, built: BuiltScenario) -> int:
         _emit_error(ScenarioError("robust needs an ambiguity driver"))
         return 1
     lattice, fam, p = built.lattice, built.family, built.payoff
-    result = robust_seller_price(lattice, fam, p, audit=False, threads=_threads())
+    result = robust_seller_price(lattice, fam, p, audit=False)
     certs = robust_certificate(lattice, fam, p, result,
                                tol=float(built.options["tolerance"]))
     _write_csv(os.path.join(ns.out, "alphas.csv"),
@@ -223,6 +216,14 @@ def _audit_payload(rep) -> dict:
     }
 
 
+def _node_min(lattice, f, g=None) -> float:
+    """Smallest value of f, or of f - g, over all nodes, in node order."""
+    return min(float(np.min(f.layer(k, dflt) if g is None
+                            else f.layer(k, dflt) - g.layer(k, dflt)))
+               for k in range(lattice.n_steps + 1) for dflt in (False, True)
+               if f.layer(k, dflt).size)
+
+
 def _cmd_verify(ns, built: BuiltScenario) -> int:
     lattice, d, p = built.lattice, built.driver, built.payoff
     tol = float(built.options["tolerance"])
@@ -261,35 +262,23 @@ def _cmd_verify(ns, built: BuiltScenario) -> int:
 
     # comparison properties around the base solve
     up = solve_drbsde(lattice, d1.shifted(lambda ctx: 0.1), p)
-    worst = min(float(np.min(up.y.layer(k, dflt) - sol1.y.layer(k, dflt)))
-                for k in range(lattice.n_steps + 1)
-                for dflt in (False, True)
-                if sol1.y.layer(k, dflt).size)
+    worst = _node_min(lattice, up.y, sol1.y)
     check("driver_monotonicity", worst >= -tol * scale, worst)
 
     bump = 0.05
     pb = type(p)(xi=lambda t, s, dflt: p.xi(t, s, dflt) + bump,
                  zeta=lambda t, s, dflt: p.zeta(t, s, dflt) + bump)
     upb = solve_drbsde(lattice, d, pb)
-    worst_b = min(float(np.min(upb.y.layer(k, dflt) - sol.y.layer(k, dflt)))
-                  for k in range(lattice.n_steps + 1)
-                  for dflt in (False, True)
-                  if sol.y.layer(k, dflt).size)
+    worst_b = _node_min(lattice, upb.y, sol.y)
     check("barrier_monotonicity", worst_b >= -tol * scale, worst_b)
 
     check("root_between_barriers",
           sol.xi.root <= sol.y0 <= sol.zeta.root,
           [float(sol.xi.root), float(sol.y0), float(sol.zeta.root)])
 
-    xi_min = min(float(np.min(sol.xi.layer(k, dflt)))
-                 for k in range(lattice.n_steps + 1)
-                 for dflt in (False, True)
-                 if sol.xi.layer(k, dflt).size)
+    xi_min = _node_min(lattice, sol.xi)
     if d.zero_at_zero and xi_min >= 0.0:
-        y_min = min(float(np.min(sol.y.layer(k, dflt)))
-                    for k in range(lattice.n_steps + 1)
-                    for dflt in (False, True)
-                    if sol.y.layer(k, dflt).size)
+        y_min = _node_min(lattice, sol.y)
         check("price_nonnegative", y_min >= -tol * scale, y_min)
     else:
         check("price_nonnegative_skipped", True,
@@ -300,8 +289,6 @@ def _cmd_verify(ns, built: BuiltScenario) -> int:
     for k in range(lattice.n_steps + 1):
         for dflt in (False, True):
             da = sol.da.layer(k, dflt)
-            if da.size == 0:
-                continue
             dap = sol.dap.layer(k, dflt)
             y = sol.y.layer(k, dflt)
             sing = max(sing, float(np.max(np.abs(da * dap), initial=0.0)))

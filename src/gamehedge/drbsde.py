@@ -13,6 +13,7 @@ max-min and min-max must both match the reflected solve at the root.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -21,12 +22,42 @@ import numpy as np
 from .bsde import (
     PICARD_MAX_ITER,
     PICARD_TOL,
+    backward_sweep,
     implicit_continuation,
+    node_fields,
     require_contraction,
 )
 from .drivers import Driver
 from .errors import BarrierViolation, NegativeDividend, TooLarge, UnknownNode
 from .lattice import Lattice, Node, NodeField
+
+
+def _checked(xi: NodeField, zeta: NodeField) -> tuple[NodeField, NodeField]:
+    """Set zeta = xi at the terminal layer, require finite xi <= zeta at
+    every node, and freeze the layers (they are shared, never copied)."""
+    zeta.alive[-1] = xi.alive[-1].copy()
+    zeta.defaulted[-1] = xi.defaulted[-1].copy()
+    for k in range(len(xi.alive)):
+        for defaulted in (False, True):
+            xa, za = xi.layer(k, defaulted), zeta.layer(k, defaulted)
+            if xa.size and not ((xa <= za).all() and math.isfinite(xa.min())
+                                and math.isfinite(za.max())):
+                j = int(np.nonzero(~(np.isfinite(xa) & np.isfinite(za) & (xa <= za)))[0][0])
+                x, z = xa[j], za[j]
+                at = f"at step {k}, index {j}{' (defaulted)' if defaulted else ''}"
+                raise BarrierViolation(
+                    f"xi > zeta {at}: {x:.6g} > {z:.6g}"
+                    if np.isfinite(x) and np.isfinite(z)
+                    else f"non-finite barrier {at}: xi {x:.6g}, zeta {z:.6g}",
+                    node=Node(k, j, defaulted))
+    return _frozen(xi, zeta)
+
+
+def _frozen(*fields: NodeField) -> tuple[NodeField, ...]:
+    for f in fields:
+        for a in f.alive + f.defaulted:
+            a.flags.writeable = False
+    return fields
 
 
 @dataclass(frozen=True)
@@ -35,8 +66,10 @@ class PayoffSpec:
 
     Callables take (t, s1, defaulted) and must vectorize in s1.  At the
     terminal layer zeta is overwritten by xi, the payoff the two sides
-    agree on at expiry.  Precomputed layers may be supplied instead, which
-    is how reflected (buyer-side) specs keep bit-exact symmetry.
+    agree on at expiry.  Layers must be finite with xi <= zeta, or
+    BarrierViolation names the node.  A spec may carry checked read-only
+    layers instead (from layers(), reflected() or from_layers()); layers()
+    then returns them as they are, never copied.
     """
 
     xi: Callable | None = None
@@ -46,36 +79,21 @@ class PayoffSpec:
 
     @classmethod
     def from_layers(cls, xi_layers: NodeField, zeta_layers: NodeField) -> "PayoffSpec":
-        return cls(xi=None, zeta=None, xi_layers=xi_layers, zeta_layers=zeta_layers)
+        """Spec over copies of the given layers, checked once here."""
+        xi, zeta = _checked(xi_layers.copy(), zeta_layers.copy())
+        return cls(xi_layers=xi, zeta_layers=zeta)
 
     def layers(self, lattice: Lattice) -> tuple[NodeField, NodeField]:
         if self.xi_layers is not None:
-            xi, zeta = self.xi_layers.copy(), self.zeta_layers.copy()
-        else:
-            xi = NodeField.from_function(lattice, self.xi)
-            zeta = NodeField.from_function(lattice, self.zeta)
-        n = lattice.n_steps
-        zeta.alive[n] = xi.alive[n].copy()
-        zeta.defaulted[n] = xi.defaulted[n].copy()
-        for k in range(n + 1):
-            for defaulted, xa, za in ((False, xi.alive[k], zeta.alive[k]),
-                                      (True, xi.defaulted[k], zeta.defaulted[k])):
-                bad = np.nonzero(xa > za)[0]
-                if bad.size:
-                    j = int(bad[0])
-                    raise BarrierViolation(
-                        f"xi > zeta at step {k}, index {j}"
-                        f"{' (defaulted)' if defaulted else ''}: "
-                        f"{xa[j]:.6g} > {za[j]:.6g}",
-                        node=Node(k, j, defaulted))
-        return xi, zeta
+            return self.xi_layers, self.zeta_layers
+        return _checked(NodeField.from_function(lattice, self.xi),
+                        NodeField.from_function(lattice, self.zeta))
 
     def reflected(self, lattice: Lattice) -> "PayoffSpec":
         """Barriers (-zeta, -xi): the buyer's problem as seen by a seller."""
-        xi, zeta = self.layers(lattice)
-        neg_zeta = NodeField([-a for a in zeta.alive], [-d for d in zeta.defaulted])
-        neg_xi = NodeField([-a for a in xi.alive], [-d for d in xi.defaulted])
-        return PayoffSpec.from_layers(neg_zeta, neg_xi)
+        neg_zeta, neg_xi = _frozen(*(NodeField([-a for a in f.alive], [-d for d in f.defaulted])
+                                     for f in reversed(self.layers(lattice))))
+        return PayoffSpec(xi_layers=neg_zeta, zeta_layers=neg_xi)
 
 
 @dataclass
@@ -111,46 +129,17 @@ def solve_drbsde(lattice: Lattice, d: Driver, p: PayoffSpec, *,
     require_contraction(d, lattice)
     xi, zeta = p.layers(lattice)
     n = lattice.n_steps
-    y = NodeField.zeros(lattice)
-    z = NodeField.zeros(lattice)
-    kf = NodeField.zeros(lattice)
-    da = NodeField.zeros(lattice)
-    dap = NodeField.zeros(lattice)
-    cont = NodeField.zeros(lattice)
-    y.alive[n] = xi.alive[n].copy()
-    y.defaulted[n] = xi.defaulted[n].copy()
-    cont.alive[n] = xi.alive[n].copy()
-    cont.defaulted[n] = xi.defaulted[n].copy()
-    dt = lattice.dt
+    rows = {(n, dflt): (xi.layer(n, dflt).copy(), xi.layer(n, dflt).copy())
+            for dflt in (False, True)}
     iters = 0
-    for step in reversed(range(n)):
-        m_a, z_a, k_a, m_d, z_d = lattice.layer_regression(step, y.alive[step + 1],
-                                                           y.defaulted[step + 1])
-        for defaulted, base, zl, kl in ((False, m_a, z_a, k_a),
-                                        (True, m_d, z_d, np.zeros_like(m_d))):
-            if base.size == 0:
-                continue
-            if dividends is not None:
-                base = base + dividends.layer(step, defaulted)
-            ctx = lattice.step_context(step, defaulted)
-            c, it = implicit_continuation(ctx, d, base, zl, kl, dt, picard_tol, max_iter)
-            iters += it
-            lo = xi.layer(step, defaulted)
-            hi = zeta.layer(step, defaulted)
-            yv = np.clip(c, lo, hi)
-            if defaulted:
-                y.defaulted[step] = yv
-                z.defaulted[step] = zl
-                cont.defaulted[step] = c
-                da.defaulted[step] = np.where(c < lo, lo - c, 0.0)
-                dap.defaulted[step] = np.where(c > hi, c - hi, 0.0)
-            else:
-                y.alive[step] = yv
-                z.alive[step] = zl
-                kf.alive[step] = k_a
-                cont.alive[step] = c
-                da.alive[step] = np.where(c < lo, lo - c, 0.0)
-                dap.alive[step] = np.where(c > hi, c - hi, 0.0)
+    for step, dflt, c, y, z, k, it in backward_sweep(
+            lattice, d, (xi.alive[n], xi.defaulted[n]), n, barriers=(xi, zeta),
+            dividends=dividends, picard_tol=picard_tol, max_iter=max_iter):
+        lo, hi = xi.layer(step, dflt), zeta.layer(step, dflt)
+        rows[step, dflt] = (y, c, z, k, np.where(c < lo, lo - c, 0.0),
+                            np.where(c > hi, c - hi, 0.0))
+        iters += it
+    y, cont, z, kf, da, dap = node_fields(lattice, rows, 6)
     return DrbsdeSolution(lattice=lattice, y=y, z=z, k=kf, da=da, dap=dap,
                           continuation=cont, xi=xi, zeta=zeta, iterations=iters)
 

@@ -364,9 +364,6 @@ class AmbiguityFamily:
         return np.stack([np.broadcast_to(v, shape) for v in vals], axis=0)
 
     def sup_driver(self) -> Driver:
-        if len(self.u_grid) == 0:
-            raise EmptyGrid("ambiguity grid is empty")
-
         def envelope(ctx, y, z, k):
             return np.max(self.stacked(ctx, y, z, k), axis=0)
 
@@ -376,10 +373,6 @@ class AmbiguityFamily:
     def argmax(self, ctx, y, z, k) -> np.ndarray:
         """Lowest grid index attaining the envelope, per evaluation point."""
         return np.argmax(self.stacked(ctx, y, z, k), axis=0)
-
-
-def sup_driver(fam: AmbiguityFamily) -> Driver:
-    return fam.sup_driver()
 
 
 def audit_family(fam: AmbiguityFamily, lattice: Lattice,

@@ -6,11 +6,7 @@ class GameHedgeError(Exception):
 
 
 class InvalidParams(GameHedgeError):
-    """Lattice or market parameters fail validation."""
-
-
-class ParamsInvalid(GameHedgeError):
-    """Estimate parameters outside the admissible region."""
+    """Caller parameters fail validation (lattice, market, driver, estimate)."""
 
 
 class AuditFailure(GameHedgeError):
@@ -34,7 +30,7 @@ class NoContraction(GameHedgeError):
 
 
 class PicardDivergence(GameHedgeError):
-    """Picard iteration hit the iteration cap without converging."""
+    """Picard iteration produced a non-finite iterate or hit the iteration cap."""
 
 
 class DensityNotPositive(GameHedgeError):

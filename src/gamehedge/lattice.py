@@ -23,9 +23,6 @@ import numpy as np
 
 from .errors import InvalidParams, UnknownNode
 
-ALIVE = "alive"
-DEFAULTED = "defaulted"
-
 
 @dataclass(frozen=True)
 class LatticeParams:
@@ -203,24 +200,12 @@ class Lattice:
     def node_count(self, k: int) -> int:
         return self.alive_size(k) + self.defaulted_size(k)
 
-    def iter_nodes(self):
-        for k in range(self.n_steps + 1):
-            for j in range(self.alive_size(k)):
-                yield Node(k, j, False)
-            for j in range(self.defaulted_size(k)):
-                yield Node(k, j, True)
-
     def check_node(self, node: Node) -> None:
         if node.step < 0 or node.step > self.n_steps:
             raise UnknownNode(f"step out of range: {node}")
         size = self.defaulted_size(node.step) if node.defaulted else self.alive_size(node.step)
         if node.j < 0 or node.j >= size:
             raise UnknownNode(f"layer index out of range: {node}")
-
-    def s1_at(self, node: Node) -> float:
-        self.check_node(node)
-        layer = self.s1_defaulted if node.defaulted else self.s1_alive
-        return float(layer[node.step][node.j])
 
     def step_context(self, k: int, defaulted: bool) -> StepContext:
         lam = 0.0 if defaulted else float(self.lam[k])
@@ -310,9 +295,6 @@ class Lattice:
             m_d = np.zeros(0)
             z_d = np.zeros(0)
         return m_a, z_a, k_a, m_d, z_d
-
-    def node_field(self, fn) -> NodeField:
-        return NodeField.from_function(self, fn)
 
 
 def _require_finite(name: str, value) -> None:

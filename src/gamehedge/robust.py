@@ -12,13 +12,12 @@ the same fixed points wherever the projection is inactive.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .bsde import PICARD_MAX_ITER, PICARD_TOL
+from .bsde import PICARD_MAX_ITER, PICARD_TOL, backward_sweep
 from .drbsde import (
     DrbsdeSolution,
     PayoffSpec,
@@ -69,7 +68,7 @@ def frozen_control_driver(fam: AmbiguityFamily, worst_alpha: NodeField,
 
 
 def robust_seller_price(lattice: Lattice, fam: AmbiguityFamily, p: PayoffSpec, *,
-                        audit: bool = True, threads: int = 1,
+                        audit: bool = True,
                         picard_tol: float = PICARD_TOL,
                         max_iter: int = PICARD_MAX_ITER) -> RobustResult:
     """Envelope solve, per-model grid solves, and the frozen-control check.
@@ -79,6 +78,8 @@ def robust_seller_price(lattice: Lattice, fam: AmbiguityFamily, p: PayoffSpec, *
     super-hedge (strategy, cancellation rule) carried by the envelope
     solution.  Ties in the argmax are counted, not hidden: a nonzero tie
     count means the frozen control was disambiguated by lowest grid index.
+    The per-model prices come from one batched sweep, one column per grid
+    model, each column equal to that model's own reflected solve.
     """
     if audit:
         for report in audit_family(fam, lattice):
@@ -86,16 +87,17 @@ def robust_seller_price(lattice: Lattice, fam: AmbiguityFamily, p: PayoffSpec, *
     kw = dict(picard_tol=picard_tol, max_iter=max_iter)
     gsol = solve_drbsde(lattice, fam.sup_driver(), p, **kw)
 
-    def solve_member(i: int) -> float:
-        return solve_drbsde(lattice, fam.member(i), p, **kw).y0
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_alpha = np.array(list(pool.map(solve_member, range(len(fam)))))
-    else:
-        per_alpha = np.array([solve_member(i) for i in range(len(fam))])
-
     n = lattice.n_steps
+    xi, zeta = p.layers(lattice)
+    grid = np.asarray(fam.u_grid, dtype=float)
+    models = Driver(lambda ctx, y, z, k: fam.fn(ctx, y, z, k, grid[None, :]),
+                    fam.lambda_constant)
+    top = tuple(np.repeat(a[:, None], len(grid), axis=1)
+                for a in (xi.alive[n], xi.defaulted[n]))
+    for layer in backward_sweep(lattice, models, top, n, barriers=(xi, zeta), **kw):
+        pass  # the last layer yielded is the root
+    per_alpha = layer[3][0].copy()
+
     worst = NodeField([np.zeros(k + 1, dtype=np.int64) for k in range(n + 1)],
                       [np.zeros(lattice.defaulted_size(k), dtype=np.int64)
                        for k in range(n + 1)])
@@ -228,8 +230,7 @@ def default_ambiguity_family(f: Driver, nu: Callable, u_grid,
 
 
 def robust_buyer_price(lattice: Lattice, fam: AmbiguityFamily, p: PayoffSpec, *,
-                       audit: bool = True, threads: int = 1) -> float:
+                       audit: bool = True) -> float:
     """Mirror of the robust seller: envelope solve on barriers (-zeta, -xi)."""
-    mirrored = robust_seller_price(lattice, fam, p.reflected(lattice),
-                                   audit=audit, threads=threads)
+    mirrored = robust_seller_price(lattice, fam, p.reflected(lattice), audit=audit)
     return -mirrored.v0_via_G

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -359,7 +359,9 @@ class Scenario:
 
         payoff = PayoffSpec(xi=parse_payoff_expression(self.data["payoff"]["xi"]),
                             zeta=parse_payoff_expression(self.data["payoff"]["zeta"]))
-        payoff.layers(lattice)  # barrier order audited before any solve
+        # evaluated and checked once, before any solve; every later layers() reuses them
+        xi, zeta = payoff.layers(lattice)
+        payoff = replace(payoff, xi_layers=xi, zeta_layers=zeta)
         return BuiltScenario(scenario=self, lattice=lattice, driver=driver,
                              family=family, payoff=payoff, options=self.options,
                              audits=tuple(audits))

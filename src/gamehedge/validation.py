@@ -21,7 +21,7 @@ import numpy as np
 
 from .drbsde import DrbsdeSolution
 from .drivers import Driver
-from .errors import MismatchedInstances, ParamsInvalid, PicardDivergence, PreconditionViolated
+from .errors import InvalidParams, MismatchedInstances, PicardDivergence, PreconditionViolated
 from .lattice import Lattice, NodeField
 
 _REL_SLACK = 1e-12
@@ -43,19 +43,19 @@ class EstimateParams:
     def __post_init__(self):
         c = self.lambda_constant
         if not (self.eta > 0.0 and self.beta > 0.0 and c >= 0.0):
-            raise ParamsInvalid("need eta > 0, beta > 0, lambda_constant >= 0")
+            raise InvalidParams("need eta > 0, beta > 0, lambda_constant >= 0")
         slack_b = _REL_SLACK * (1.0 + abs(self.beta))
         if c > 0.0:
             if self.eta > (1.0 + _REL_SLACK) / (c * c):
-                raise ParamsInvalid(f"eta = {self.eta} exceeds 1/C^2 = {1.0 / (c * c)}")
+                raise InvalidParams(f"eta = {self.eta} exceeds 1/C^2 = {1.0 / (c * c)}")
         if self.beta + slack_b < 3.0 / self.eta + 2.0 * c:
-            raise ParamsInvalid(
+            raise InvalidParams(
                 f"beta = {self.beta} below 3/eta + 2C = {3.0 / self.eta + 2.0 * c}")
 
     @classmethod
     def for_constant(cls, c: float) -> "EstimateParams":
         if not c > 0.0:
-            raise ParamsInvalid("constant must be positive")
+            raise InvalidParams("constant must be positive")
         return cls(eta=1.0 / (c * c), beta=3.0 * c * c + 2.0 * c, lambda_constant=c)
 
 
@@ -121,7 +121,7 @@ def apriori_check(sol1: DrbsdeSolution, sol2: DrbsdeSolution,
     if not _same_lattice(lattice, sol2.lattice):
         raise MismatchedInstances("solutions live on different lattices")
     if ep.lambda_constant + _REL_SLACK < d1.lambda_constant:
-        raise ParamsInvalid(
+        raise InvalidParams(
             f"estimate constant {ep.lambda_constant} below the driver's "
             f"{d1.lambda_constant}")
     if not (_same_field(sol1.xi, sol2.xi) and _same_field(sol1.zeta, sol2.zeta)):
@@ -240,13 +240,13 @@ def ode_compare(b1: Callable, b2: Callable, x1: float, x2: float,
     PicardDivergence rather than returning the last iterate.
     """
     if mode not in ("implicit", "explicit"):
-        raise ParamsInvalid(f"unknown mode {mode!r}")
+        raise InvalidParams(f"unknown mode {mode!r}")
     if not lip * dt < 1.0:
         raise PreconditionViolated(f"lip * dt = {lip * dt} not below 1")
     f1 = np.asarray(f1, dtype=float)
     f2 = np.asarray(f2, dtype=float)
     if f1.shape != f2.shape or f1.ndim != 1 or f1.shape[0] < 1:
-        raise ParamsInvalid("forcing sequences must be equal-length 1-d arrays")
+        raise InvalidParams("forcing sequences must be equal-length 1-d arrays")
     if x1 < x2:
         raise PreconditionViolated(f"x1 = {x1} below x2 = {x2}", step=0)
     n = f1.shape[0] - 1

@@ -9,7 +9,6 @@ from gamehedge.drivers import (
     audit_driver,
     audit_family,
     make_builtin_driver,
-    sup_driver,
     theta_coefficients,
 )
 from gamehedge.errors import AuditFailure, EmptyGrid
@@ -148,7 +147,7 @@ def test_sup_driver_of_two_lines():
         fn=lambda ctx, y, z, k, a: a * k * ctx.lam,
         lambda_constant=0.5 * np.sqrt(0.4),
     )
-    g = sup_driver(fam)
+    g = fam.sup_driver()
     ctx = lat.step_context(1, False)
     k = np.array([-2.0, -0.5, 0.0, 1.0, 3.0])
     got = g(ctx, 0.0, 0.0, k)
@@ -160,7 +159,7 @@ def test_singleton_family_envelope_is_member():
     lat = lattice_for(mp)
     fam = AmbiguityFamily(u_grid=(0.3,), fn=lambda ctx, y, z, k, a: a * y - z,
                           lambda_constant=1.0)
-    g = sup_driver(fam)
+    g = fam.sup_driver()
     d = fam.member(0)
     ctx = lat.step_context(0, False)
     rng = np.random.default_rng(2)
@@ -177,7 +176,7 @@ def test_envelope_dominates_members_and_argmax_breaks_ties_low():
         fn=lambda ctx, y, z, k, a: a * np.abs(z) - 0.05 * y,
         lambda_constant=0.5,
     )
-    g = sup_driver(fam)
+    g = fam.sup_driver()
     ctx = lat.step_context(2, False)
     rng = np.random.default_rng(9)
     pts = rng.normal(size=(40, 3))
@@ -198,7 +197,7 @@ def test_envelope_royer_at_least_family_min():
         lambda_constant=1.0,
     )
     reports = audit_family(fam, lat)
-    envelope_report = audit_driver(sup_driver(fam), lat)
+    envelope_report = audit_driver(fam.sup_driver(), lat)
     member_min = min(r.gamma_min for r in reports)
     assert envelope_report.gamma_min >= member_min - 1e-12
     for r in reports:

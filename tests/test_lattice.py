@@ -8,6 +8,7 @@ from gamehedge import (
     LatticeParams,
     MarketParams,
     Node,
+    NodeField,
     UnknownNode,
     build_lattice,
 )
@@ -176,7 +177,8 @@ def test_default_transition_indexing():
 
 def test_node_field_roundtrip():
     lat = small_lattice(lam=0.4)
-    f = lat.node_field(lambda t, s1, defaulted: s1 + (10.0 if defaulted else 0.0))
+    f = NodeField.from_function(
+        lat, lambda t, s1, defaulted: s1 + (10.0 if defaulted else 0.0))
     assert f.at(Node(2, 2)) == pytest.approx(lat.s1_alive[2][2])
     assert f.at(Node(2, 0, True)) == pytest.approx(lat.s1_defaulted[2][0] + 10.0)
     with pytest.raises(UnknownNode):

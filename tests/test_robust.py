@@ -224,13 +224,12 @@ def test_robust_buyer():
     assert rb <= seller.v0_via_G + 1e-12
 
 
-def test_threaded_solves_match_serial():
+def test_batched_member_solves_match_loop():
     mp = make_market()
-    lattice = build_lattice(LatticeParams(horizon=0.75, n_steps=3), mp)
-    fam = tilt_family(lattice, mp, [-0.2, 0.0, 0.2, 0.4])
-    p = band_spec()
-    serial = robust_seller_price(lattice, fam, p, threads=1)
-    pooled = robust_seller_price(lattice, fam, p, threads=4)
-    assert np.array_equal(serial.per_alpha, pooled.per_alpha)
-    assert serial.v0_via_G == pooled.v0_via_G
-    assert serial.frozen_value == pooled.frozen_value
+    for n_steps, grid in ((3, [-0.2, 0.0, 0.2, 0.4]), (40, [-0.3, -0.1, 0.1, 0.3, 0.5])):
+        lattice = build_lattice(LatticeParams(horizon=0.75, n_steps=n_steps), mp)
+        fam = tilt_family(lattice, mp, grid)
+        p = band_spec()
+        batched = robust_seller_price(lattice, fam, p).per_alpha
+        looped = np.array([solve_drbsde(lattice, d, p).y0 for d in fam.members()])
+        assert batched.tobytes() == looped.tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -245,6 +246,44 @@ def test_cli_non_finite_input_exits_1_naming_field(tmp_path, capsys, field,
     assert err == {"error": "ScenarioError", "message": message}
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("command", ["price", "verify"])
+@pytest.mark.parametrize("payoff,message", [
+    ({"xi": "pos(S1 - 0.95)", "zeta": "1e400"},
+     "non-finite barrier at step 0, index 0: xi 0.05, zeta inf"),
+    ({"xi": "pos(S1 - 0.95) + 1e400 - 1e400", "zeta": "pos(S1 - 0.95) + 0.04"},
+     "non-finite barrier at step 0, index 0: xi nan, zeta 0.09"),
+])
+def test_cli_non_finite_barrier_exits_1_naming_node(tmp_path, capsys, command,
+                                                    payoff, message):
+    path = write_scenario(tmp_path, scenario_dict(payoff=payoff))
+    out = tmp_path / "out"
+    assert main([command, "--scenario", path, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "BarrierViolation", "message": message}
+    assert not out.exists()
+
+
+def test_cli_non_finite_driver_exits_2_naming_step(tmp_path, capsys, monkeypatch):
+    import gamehedge.scenario as scenario_module
+
+    real = scenario_module._make_builtin
+
+    def overflowing(spec, mp):
+        d = real(spec, mp)
+        # finite on the audit's probe box |y| <= 2, infinite on values above 5
+        return dataclasses.replace(
+            d, fn=lambda ctx, y, z, k: d.fn(ctx, y, z, k) + np.where(y > 5.0, np.inf, 0.0))
+
+    monkeypatch.setattr(scenario_module, "_make_builtin", overflowing)
+    data = scenario_dict(payoff={"xi": "S1 * 10", "zeta": "S1 * 10 + 1"})
+    path = write_scenario(tmp_path, data)
+    assert main(["price", "--scenario", path, "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "PicardDivergence",
+                   "message": "non-finite iterate at step 5, iteration 1"}
+
+
 def test_cli_verify_passes(tmp_path):
     path = write_scenario(tmp_path, scenario_dict())
     out = tmp_path / "out"
@@ -261,16 +300,15 @@ def test_cli_verify_passes(tmp_path):
     assert all(a["ok"] for a in report["audits"])
 
 
-def test_cli_robust_and_thread_determinism(tmp_path, monkeypatch):
+def test_cli_robust_determinism(tmp_path):
     data = scenario_dict(
         lattice={"horizon": 0.5, "n_steps": 4},
         driver={"kind": "ambiguity", "base": {"kind": "perfect"},
                 "u_grid": [-0.2, 0.0, 0.3], "nu": [-0.2, 0.0, 0.3]})
     path = write_scenario(tmp_path, data)
     outputs = {}
-    for tag, threads in (("a", "1"), ("b", "4")):
+    for tag in ("a", "b"):
         out = tmp_path / tag
-        monkeypatch.setenv("GAMEHEDGE_THREADS", threads)
         assert main(["robust", "--scenario", path, "--out", str(out)]) == 0
         outputs[tag] = {name: (out / name).read_bytes()
                         for name in ("report.json", "alphas.csv",

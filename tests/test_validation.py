@@ -7,9 +7,9 @@ import pytest
 from gamehedge import (
     EstimateParams,
     LatticeParams,
+    InvalidParams,
     MarketParams,
     MismatchedInstances,
-    ParamsInvalid,
     PayoffSpec,
     PicardDivergence,
     PreconditionViolated,
@@ -64,17 +64,17 @@ def test_estimate_params_boundary_passes():
 
 
 def test_estimate_params_rejections():
-    with pytest.raises(ParamsInvalid):
+    with pytest.raises(InvalidParams):
         EstimateParams(eta=0.0, beta=1.0, lambda_constant=0.5)
-    with pytest.raises(ParamsInvalid):
+    with pytest.raises(InvalidParams):
         EstimateParams(eta=1.0, beta=-1.0, lambda_constant=0.5)
-    with pytest.raises(ParamsInvalid):
+    with pytest.raises(InvalidParams):
         # eta above 1/C^2
         EstimateParams(eta=5.0, beta=100.0, lambda_constant=1.0)
-    with pytest.raises(ParamsInvalid):
+    with pytest.raises(InvalidParams):
         # beta below 3/eta + 2C
         EstimateParams(eta=1.0, beta=2.9, lambda_constant=1.0)
-    with pytest.raises(ParamsInvalid):
+    with pytest.raises(InvalidParams):
         EstimateParams.for_constant(0.0)
 
 
@@ -158,7 +158,7 @@ def test_estimate_constant_must_cover_driver():
     lattice, d, p = declared_instance()
     sol = solve_drbsde(lattice, d, p)
     weak = EstimateParams.for_constant(d.lambda_constant / 4.0)
-    with pytest.raises(ParamsInvalid):
+    with pytest.raises(InvalidParams):
         apriori_check(sol, sol, d, d, weak)
 
 
@@ -237,7 +237,7 @@ def test_ode_precondition_errors():
     assert ei.value.step == 0
     with pytest.raises(PreconditionViolated):
         ode_compare(b, b, 1.0, 0.0, f, f, dt=0.5, lip=2.0)
-    with pytest.raises(ParamsInvalid):
+    with pytest.raises(InvalidParams):
         ode_compare(b, b, 1.0, 0.0, f, f, dt=0.1, lip=0.0, mode="midpoint")
 
 
