@@ -316,11 +316,10 @@ def dynkin_bruteforce(lattice: Lattice, d: Driver, p: PayoffSpec, *,
     """
     if lattice.n_steps > max_steps:
         raise TooLarge(f"brute force limited to {max_steps} steps, lattice has {lattice.n_steps}")
-    rules = enumerate_stopping_rules(lattice)
+    # at most isqrt(max_pairs) rules keeps the pair count within max_pairs
+    rules = enumerate_stopping_rules(lattice, max_rules=math.isqrt(max_pairs))
     n_rules = len(rules)
     n_pairs = n_rules * n_rules
-    if n_pairs > max_pairs:
-        raise TooLarge(f"{n_pairs} rule pairs exceed the bound {max_pairs}")
     matrix = stopped_pair_values(lattice, d, p, rules, rules,
                                  picard_tol=picard_tol, max_iter=max_iter)
     row_min = matrix.min(axis=1)

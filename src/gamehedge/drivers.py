@@ -358,10 +358,11 @@ class AmbiguityFamily:
         return [self.member(i) for i in range(len(self.u_grid))]
 
     def stacked(self, ctx, y, z, k) -> np.ndarray:
-        """Values for every alpha, stacked on a new leading axis."""
-        vals = [np.asarray(self.fn(ctx, y, z, k, a), dtype=float) for a in self.u_grid]
-        shape = np.broadcast_shapes(*[v.shape for v in vals]) if vals else ()
-        return np.stack([np.broadcast_to(v, shape) for v in vals], axis=0)
+        """Values for every alpha on a new leading axis, from one call of fn."""
+        ndim = np.ndim(np.broadcast(y, z, k))
+        grid = np.asarray(self.u_grid, dtype=float).reshape((-1,) + (1,) * ndim)
+        vals = np.asarray(self.fn(ctx, y, z, k, grid), dtype=float)
+        return np.broadcast_to(vals, np.broadcast_shapes(vals.shape, grid.shape))
 
     def sup_driver(self) -> Driver:
         def envelope(ctx, y, z, k):

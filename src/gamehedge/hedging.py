@@ -8,12 +8,16 @@ surface therefore holds path by path up to the solver's fixed-point
 residual, and the certification below asserts it at 1e-12.
 
 Stopping rules are node-indexed stop flags: a path stops at the first
-flagged node it reaches, and terminal nodes are always flagged.
+flagged node it reaches, and terminal nodes are always flagged.  The
+certificate keeps one number per node, the least wealth over the paths
+that reach it unstopped.  By the discrete comparison theorem that minimum
+decides every slack exactly, so the recombining sweep costs O(n^2) and
+`violations` counts the nodes, not the paths, where a slack fails.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -21,7 +25,7 @@ import numpy as np
 from .bsde import require_contraction
 from .drbsde import DrbsdeSolution, PayoffSpec, solve_drbsde
 from .drivers import Driver
-from .errors import InvalidParams, TooLarge
+from .errors import InvalidParams
 from .lattice import Lattice, MarketParams, NodeField
 
 
@@ -122,145 +126,86 @@ def sigma_bar_rule(sol: DrbsdeSolution, p: PayoffSpec) -> StoppingRule:
 
 @dataclass
 class WealthReport:
-    """Per-path outcome of a forward wealth simulation."""
+    """Node-indexed outcome of a forward wealth certificate.
 
-    trajectory: np.ndarray          # (n_paths, n_steps+1)
-    stop_step: np.ndarray           # (n_paths,)
-    min_slack_xi: np.ndarray        # min over [0, stop] of V - xi
-    stop_slack: np.ndarray          # V - zeta at stop (+ eps for sigma_eps rules)
-    min_slack_ref: np.ndarray       # min over [0, stop] of V - reference, inf if unused
-    violations: int
+    min_wealth holds, per node, the least wealth over the lattice paths
+    that reach the node before their rule fires (+inf where none does);
+    the worst slacks and the violation count are read off it.
+    """
+
+    min_wealth: NodeField
+    n_paths: int                    # lattice paths the node minima stand for
+    violations: int                 # nodes where a slack falls below -tol
+    worst_xi_slack: float           # min over reached nodes of V - xi
+    worst_stop_slack: float         # min over stop nodes of V - zeta (+ eps for sigma_eps)
+    worst_ref_slack: float          # min over reached nodes of V - reference, inf if unused
     tol: float
-
-    @property
-    def n_paths(self) -> int:
-        return self.trajectory.shape[0]
 
     @property
     def ok(self) -> bool:
         return self.violations == 0
 
-    @property
-    def worst_xi_slack(self) -> float:
-        return float(np.min(self.min_slack_xi))
-
-    @property
-    def worst_stop_slack(self) -> float:
-        return float(np.min(self.stop_slack))
-
-    @property
-    def worst_ref_slack(self) -> float:
-        return float(np.min(self.min_slack_ref))
-
 
 def simulate_wealth(x0: float, strat: Strategy, d: Driver, lattice: Lattice,
                     rule: StoppingRule, *, tol: float = 1e-12,
-                    reference: NodeField | None = None,
-                    max_paths: int = 1 << 20) -> WealthReport:
-    """Step the self-financing wealth along every lattice path.
+                    reference: NodeField | None = None) -> WealthReport:
+    """Step the self-financing wealth forward through the recombining lattice.
 
     V' = V - g(t, V, Z, K) dt + Z dW + K dM with (Z, K) read from the
-    strategy, each path frozen once its rule fires.  Slacks against the
-    rule's barriers are accumulated up to and including the stop node.
+    strategy.  The step is increasing in V once C dt < 1 (the discrete
+    comparison theorem), so the least wealth among the paths reaching a
+    node decides every slack there: each node keeps that minimum, takes
+    its slacks, and passes it to its successors unless the rule fires.
+    The worst slacks equal those of stepping every path on its own.
     """
     require_contraction(d, lattice)
-    mp = lattice.mp
     n = lattice.n_steps
     dt, s = lattice.dt, lattice.sqrt_dt
-
-    j = np.zeros(1, dtype=np.int64)
-    dead = np.zeros(1, dtype=bool)
-    v = np.full(1, float(x0))
-    stopped = np.zeros(1, dtype=bool)
-    stop_step = np.full(1, -1, dtype=np.int64)
-    stop_slack = np.full(1, np.inf)
-    min_xi = np.full(1, np.inf)
-    min_ref = np.full(1, np.inf)
-    traj = np.full((1, 1), float(x0))
-
     eps_adj = rule.eps if rule.kind == "sigma_eps" and rule.eps else 0.0
+
+    mins = NodeField([np.full(k + 1, np.inf) for k in range(n + 1)],
+                     [np.full(lattice.defaulted_size(k), np.inf) for k in range(n + 1)])
+    mins.alive[0][0] = float(x0)
+    worst_xi = worst_stop = worst_ref = np.inf
+    violations = 0
 
     for k in range(n + 1):
         for defaulted in (False, True):
-            sel = np.nonzero(dead == defaulted)[0]
-            if sel.size == 0:
+            v = mins.layer(k, defaulted)
+            if v.size == 0:
                 continue
-            jj = j[sel]
-            act = ~stopped[sel]
-            if not act.any():
-                continue
-            xi_l = rule.xi.layer(k, defaulted)
-            zeta_l = rule.zeta.layer(k, defaulted)
-            upd = sel[act]
-            slack = v[upd] - xi_l[j[upd]]
-            min_xi[upd] = np.minimum(min_xi[upd], slack)
+            stop = rule.flags.layer(k, defaulted) | (k == n)
+            xi_slack = v - rule.xi.layer(k, defaulted)
+            stop_slack = np.where(stop, v - rule.zeta.layer(k, defaulted) + eps_adj, np.inf)
+            worst_xi = min(worst_xi, float(np.min(xi_slack)))
+            worst_stop = min(worst_stop, float(np.min(stop_slack)))
             if reference is not None:
-                ref_l = reference.layer(k, defaulted)
-                min_ref[upd] = np.minimum(min_ref[upd], v[upd] - ref_l[j[upd]])
-            fl = rule.flags.layer(k, defaulted)[jj] if k < n else np.ones(sel.size, dtype=bool)
-            newly = sel[act & fl]
-            if newly.size:
-                stopped[newly] = True
-                stop_step[newly] = k
-                stop_slack[newly] = v[newly] - zeta_l[j[newly]] + eps_adj
-        if k == n:
-            break
-
-        q = float(lattice.q[k])
-        parts = []
-        for defaulted in (False, True):
-            sel = np.nonzero(dead == defaulted)[0]
-            if sel.size == 0:
+                worst_ref = min(worst_ref, float(np.min(v - reference.layer(k, defaulted))))
+            violations += int(np.sum((xi_slack < -tol) | (stop_slack < -tol)))
+            if k == n:
                 continue
-            jj = j[sel]
-            ctx = lattice.step_context(k, defaulted)
-            pctx = replace(ctx, s1=ctx.s1[jj], s2=ctx.s2[jj])
-            z_l, k_l = integrands_of(strat, mp, k, defaulted)
-            zz, kk = z_l[jj], k_l[jj]
-            act = (~stopped[sel]).astype(float)
-            gval = d(pctx, v[sel], zz, kk)
-            base = v[sel] - gval * dt * act
-            zz, kk = zz * act, kk * act
-            if not defaulted and q > 0.0:
-                dw = np.array([s, -s, 0.0])
-                dm = np.array([-q, -q, 1.0 - q])
-                dj = np.array([1, 0, 0], dtype=np.int64)
-                dd = np.array([False, False, True])
-            else:
-                dw = np.array([s, -s])
-                dm = np.array([0.0, 0.0])
-                dj = np.array([1, 0], dtype=np.int64)
-                dd = np.array([defaulted, defaulted])
-            nb = dw.shape[0]
-            rep = np.repeat(np.arange(sel.size), nb)
-            br = np.tile(np.arange(nb), sel.size)
-            parts.append((
-                jj[rep] + dj[br],
-                dd[br],
-                base[rep] + zz[rep] * dw[br] + kk[rep] * dm[br],
-                stopped[sel][rep],
-                stop_step[sel][rep],
-                stop_slack[sel][rep],
-                min_xi[sel][rep],
-                min_ref[sel][rep],
-                traj[sel][rep],
-            ))
-        j = np.concatenate([p[0] for p in parts])
-        if j.shape[0] > max_paths:
-            raise TooLarge(f"path count {j.shape[0]} exceeds {max_paths}")
-        dead = np.concatenate([p[1] for p in parts])
-        v = np.concatenate([p[2] for p in parts])
-        stopped = np.concatenate([p[3] for p in parts])
-        stop_step = np.concatenate([p[4] for p in parts])
-        stop_slack = np.concatenate([p[5] for p in parts])
-        min_xi = np.concatenate([p[6] for p in parts])
-        min_ref = np.concatenate([p[7] for p in parts])
-        traj = np.hstack([np.vstack([p[8] for p in parts]), v[:, None]])
 
-    violations = int(np.sum((min_xi < -tol) | (stop_slack < -tol)))
-    return WealthReport(trajectory=traj, stop_step=stop_step, min_slack_xi=min_xi,
-                        stop_slack=stop_slack, min_slack_ref=min_ref,
-                        violations=violations, tol=tol)
+            # unreached nodes hold +inf: the generator sees 0 there, and masking drops it
+            go = ~stop & (v < np.inf)
+            z, kk = integrands_of(strat, lattice.mp, k, defaulted)
+            base = v - d(lattice.step_context(k, defaulted), np.where(go, v, 0.0), z, kk) * dt
+            q = float(lattice.q[k])
+            jump = not defaulted and q > 0.0
+            dm = -q if jump else 0.0
+            nxt = mins.layer(k + 1, defaulted)
+            # (successor layer, index shift, dW, dM) for up, down and default
+            branches = [(nxt, 1, s, dm), (nxt, 0, -s, dm)]
+            if jump:
+                branches.append((mins.defaulted[k + 1], 0, 0.0, 1.0 - q))
+            for layer, dj, dw, dmb in branches:
+                part = layer[dj:dj + v.size]
+                np.minimum(part, np.where(go, base + z * dw + kk * dmb, np.inf), out=part)
+
+    # D_{k+1} = 2 D_k + [q_k > 0] 2^k defaulted paths: 2^(n-1) per default step
+    n_paths = 2 ** n + int(np.count_nonzero(lattice.q > 0.0)) * 2 ** (n - 1)
+    return WealthReport(min_wealth=mins, n_paths=n_paths, violations=violations,
+                        worst_xi_slack=worst_xi, worst_stop_slack=worst_stop,
+                        worst_ref_slack=worst_ref, tol=tol)
 
 
 class BuyerHedge(NamedTuple):

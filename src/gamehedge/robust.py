@@ -232,5 +232,7 @@ def default_ambiguity_family(f: Driver, nu: Callable, u_grid,
 def robust_buyer_price(lattice: Lattice, fam: AmbiguityFamily, p: PayoffSpec, *,
                        audit: bool = True) -> float:
     """Mirror of the robust seller: envelope solve on barriers (-zeta, -xi)."""
-    mirrored = robust_seller_price(lattice, fam, p.reflected(lattice), audit=audit)
-    return -mirrored.v0_via_G
+    if audit:
+        for report in audit_family(fam, lattice):
+            report.require()
+    return -solve_drbsde(lattice, fam.sup_driver(), p.reflected(lattice)).y0

@@ -15,7 +15,10 @@ Schema (field names fixed, unknown keys rejected):
       "options": {"epsilon": 0.01, "tolerance": 1e-12, "max_oracle_steps": 4}
     }
 
-"r" and "lambda_bar" take one number or a per-step list.  The ambiguity
+"r" and "lambda_bar" take one number or a per-step list.  The default
+max_oracle_steps of 4 stays within the brute-force oracle's bound of
+250000 rule pairs only on default-free lattices; with a positive
+intensity the oracle is limited to 3 steps.  The ambiguity
 "nu" table lists one tilt value per u_grid entry (time-constant).  Barrier
 formulas use the grammar
 

@@ -188,6 +188,25 @@ def test_envelope_dominates_members_and_argmax_breaks_ties_low():
     assert int(idx) == 0
 
 
+def test_stacked_matches_member_calls():
+    mp = market()
+    lat = lattice_for(mp)
+    fam = AmbiguityFamily(
+        u_grid=(0.4, -0.2, 0.1),
+        fn=lambda ctx, y, z, k, a: a * k * ctx.lam - 0.03 * y + 0.1 * z,
+        lambda_constant=1.0,
+    )
+    ctx = lat.step_context(2, False)
+    rng = np.random.default_rng(4)
+    for shape in ((), (7,), (5, 3)):
+        y, z, k = (rng.normal(size=shape) for _ in range(3))
+        looped = np.stack([np.broadcast_to(d(ctx, y, z, k), np.shape(y))
+                           for d in fam.members()])
+        assert fam.stacked(ctx, y, z, k).tobytes() == looped.tobytes()
+    # a scalar state broadcasts against an array one
+    assert fam.stacked(ctx, 0.5, np.zeros(4), 1.0).shape == (3, 4)
+
+
 def test_envelope_royer_at_least_family_min():
     mp = market()
     lat = lattice_for(mp)

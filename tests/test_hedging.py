@@ -1,3 +1,4 @@
+import certificate_oracle
 import numpy as np
 import pytest
 
@@ -93,7 +94,9 @@ def test_sigma_star_certificate():
     assert rep.worst_ref_slack >= -1e-12
     n = lattice.n_steps
     assert rep.n_paths == 2 ** n + n * 2 ** (n - 1)
-    assert np.all(rep.stop_step >= 0)
+    # every enumerated path stops by the horizon
+    paths = certificate_oracle.simulate_wealth(sol.y0, strat, d, lattice, rule)
+    assert paths.n_paths == rep.n_paths and np.all(paths.stop_step >= 0)
 
 
 def test_sigma_eps_certificates():

@@ -3,6 +3,7 @@ import pytest
 
 from gamehedge import (
     AmbiguityFamily,
+    AuditFailure,
     LatticeParams,
     MarketParams,
     NuOutOfRange,
@@ -222,6 +223,19 @@ def test_robust_buyer():
     assert rb == -mirrored.v0_via_G
     seller = robust_seller_price(lattice, fam, p)
     assert rb <= seller.v0_via_G + 1e-12
+
+
+def test_robust_buyer_audits_the_family():
+    mp = make_market()
+    lattice = build_lattice(LatticeParams(horizon=0.75, n_steps=3), mp)
+    base = make_builtin_driver("perfect", mp)
+    # the family declares a constant its own linear y term exceeds
+    fam = AmbiguityFamily(u_grid=(0.0, 0.5),
+                          fn=lambda ctx, y, z, k, a: 1.0 * y + base(ctx, y, z, k),
+                          lambda_constant=base.lambda_constant)
+    with pytest.raises(AuditFailure):
+        robust_buyer_price(lattice, fam, band_spec())
+    assert np.isfinite(robust_buyer_price(lattice, fam, band_spec(), audit=False))
 
 
 def test_batched_member_solves_match_loop():

@@ -188,6 +188,17 @@ def test_cli_hedge_x0_deficit_exits_3(tmp_path):
     assert report["violations"] > 0 and not report["ok"]
 
 
+def test_cli_hedge_certifies_deep_lattice(tmp_path):
+    """The node-minimum certificate covers all 2^n + n 2^(n-1) paths at n = 200."""
+    n = 200
+    path = write_scenario(tmp_path, scenario_dict(lattice={"horizon": 0.5, "n_steps": n}))
+    out = tmp_path / "out"
+    assert main(["hedge", "--scenario", path, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["ok"] is True and report["violations"] == 0
+    assert report["n_paths"] == 2 ** n + n * 2 ** (n - 1)
+
+
 def test_cli_hedge_epsilon_rule(tmp_path):
     path = write_scenario(tmp_path, scenario_dict())
     out = tmp_path / "out"

@@ -256,7 +256,7 @@ def test_ode_explicit_matches_wealth_path():
     rule = rule_from_flags(lattice, flags, p)  # stop only at the horizon
     rep = simulate_wealth(sol.y0, strat, d, lattice, rule)
     n = lattice.n_steps
-    # path 0 always takes the up branch and never defaults
+    # the all-up path never defaults
     zs, ks, dws, dms, s1s = [], [], [], [], []
     for k in range(n):
         z, kk = integrands_of(strat, mp, k, False)
@@ -277,5 +277,8 @@ def test_ode_explicit_matches_wealth_path():
     f = np.cumsum(df)
     out = ode_compare(b1, b1, sol.y0, sol.y0, f, f, dt=lattice.dt,
                       lip=d.lambda_constant, mode="explicit")
-    # association of the two noise adds differs, so agreement is to the ulp
-    assert np.max(np.abs(out.y1 - rep.trajectory[0])) <= 1e-15
+    # alive node (k, k) is reached by the all-up path alone, so its minimum
+    # wealth is that path's wealth; the association of the two noise adds
+    # differs, so agreement is to the ulp
+    all_up = np.array([rep.min_wealth.alive[k][k] for k in range(n + 1)])
+    assert np.max(np.abs(out.y1 - all_up)) <= 1e-15
