@@ -25,22 +25,23 @@ from .errors import (
 )
 from .lattice import Lattice, MarketParams, NodeField, StepContext
 
+# Picard stopping rule of every implicit step; no solve takes its own.
 PICARD_TOL = 1e-14
 PICARD_MAX_ITER = 100
 
 
-def implicit_continuation(ctx: StepContext, d: Driver, base, z, k, dt: float,
-                          picard_tol: float = PICARD_TOL,
-                          max_iter: int = PICARD_MAX_ITER, *, batch: bool = False):
+def implicit_continuation(ctx: StepContext, d: Driver, base, z, k, dt: float, *,
+                          batch: bool = False):
     """Solve y = base + g(ctx, y, z, k) * dt for y; returns (y, iterations).
 
     base absorbs the successor mean plus any source term (dividends).
     Convergence is geometric with ratio <= C * dt; the caller must have
     checked the contraction condition.  Iteration stops once
-    max|dy| <= picard_tol * (1 + max|y|).  With batch, each column of the
-    trailing axis applies that rule alone and keeps its converged value,
-    so it equals its own solve; iterations counts the slowest column.
-    A non-finite iterate raises PicardDivergence at once.
+    max|dy| <= PICARD_TOL * (1 + max|y|); PicardDivergence is raised after
+    PICARD_MAX_ITER iterations, or at once on a non-finite iterate.  With
+    batch, each column of the trailing axis applies that rule alone and
+    keeps its converged value, so it equals its own solve; iterations
+    counts the slowest column.
     """
     base = np.asarray(base, dtype=float)
     if base.size == 0:
@@ -48,26 +49,26 @@ def implicit_continuation(ctx: StepContext, d: Driver, base, z, k, dt: float,
     where = f"step {ctx.step}{' (defaulted)' if ctx.defaulted else ''}"
     active = np.ones(base.shape[1:], dtype=bool)
     y = base.copy()
-    for i in range(max_iter):
+    for i in range(PICARD_MAX_ITER):
         y_new = base + np.asarray(d(ctx, y, z, k), dtype=float) * dt
         if batch:
             diff = np.abs(y_new - y).max(axis=0)
             finite = np.isfinite(diff[active]).all()
             y = np.where(active, y_new, y)
-            active &= ~(diff <= picard_tol * (1.0 + np.abs(y).max(axis=0)))
+            active &= ~(diff <= PICARD_TOL * (1.0 + np.abs(y).max(axis=0)))
             done = not active.any()
         else:
             diff = float(np.abs(y_new - y).max())
             finite = math.isfinite(diff)
             y = y_new
-            done = diff <= picard_tol * (1.0 + float(np.abs(y).max()))
+            done = diff <= PICARD_TOL * (1.0 + float(np.abs(y).max()))
         if not finite:
             raise PicardDivergence(f"non-finite iterate at {where}, iteration {i + 1}")
         if done:
             return y, i + 1
     raise PicardDivergence(
-        f"implicit step at {where} did not converge below {picard_tol:g} in {max_iter} "
-        f"iterations (last change {np.max(np.where(active, diff, 0.0)):.3g})")
+        f"implicit step at {where} did not converge below {PICARD_TOL:g} in "
+        f"{PICARD_MAX_ITER} iterations (last change {np.max(np.where(active, diff, 0.0)):.3g})")
 
 
 def require_contraction(d: Driver, lattice: Lattice) -> None:
@@ -121,8 +122,7 @@ def terminal_layers(lattice: Lattice, terminal, step: int | None = None):
 
 
 def backward_sweep(lattice: Lattice, d: Driver, top, n: int, *, barriers=None,
-                   dividends: NodeField | None = None,
-                   picard_tol: float = PICARD_TOL, max_iter: int = PICARD_MAX_ITER):
+                   dividends: NodeField | None = None):
     """The backward recursion below step n, from top = (alive, defaulted) values.
 
     Per layer, top to bottom, alive before defaulted (empty layers skipped):
@@ -150,8 +150,7 @@ def backward_sweep(lattice: Lattice, d: Driver, top, n: int, *, barriers=None,
             ctx = lattice.step_context(step, defaulted)
             if batch:
                 ctx = replace(ctx, s1=col(ctx.s1), s2=col(ctx.s2))
-            c, it = implicit_continuation(ctx, d, base, z, k, lattice.dt, picard_tol,
-                                          max_iter, batch=batch)
+            c, it = implicit_continuation(ctx, d, base, z, k, lattice.dt, batch=batch)
             y = c
             if barriers is not None:
                 y = np.clip(c, *(col(b.layer(step, defaulted)) for b in barriers))
@@ -190,9 +189,7 @@ class BsdeSolution:
 
 
 def solve_bsde(lattice: Lattice, d: Driver, terminal, *,
-               terminal_step: int | None = None,
-               picard_tol: float = PICARD_TOL,
-               max_iter: int = PICARD_MAX_ITER) -> BsdeSolution:
+               terminal_step: int | None = None) -> BsdeSolution:
     """Backward solve from the terminal layer down to the root.
 
     terminal_step lets a solve start from an intermediate layer, which is
@@ -206,19 +203,17 @@ def solve_bsde(lattice: Lattice, d: Driver, terminal, *,
     top = terminal_layers(lattice, terminal, n)
     rows = {(n, False): top[:1], (n, True): top[1:]}
     iters = 0
-    for step, defaulted, _, y, z, k, it in backward_sweep(
-            lattice, d, top, n, picard_tol=picard_tol, max_iter=max_iter):
+    for step, defaulted, _, y, z, k, it in backward_sweep(lattice, d, top, n):
         rows[step, defaulted] = (y, z, k)
         iters += it
     y, z, kf = node_fields(lattice, rows, 3)
     return BsdeSolution(lattice=lattice, y=y, z=z, k=kf, terminal_step=n, iterations=iters)
 
 
-def buyer_european_price(lattice: Lattice, d: Driver, terminal, **kw) -> float:
+def buyer_european_price(lattice: Lattice, d: Driver, terminal) -> float:
     """Buyer's side by reflection: the negative solve of the negated payoff."""
     a, dv = terminal_layers(lattice, terminal)
-    sol = solve_bsde(lattice, d, (-a, -dv), **kw)
-    return -sol.y0
+    return -solve_bsde(lattice, d, (-a, -dv)).y0
 
 
 def linear_price_oracle(lattice: Lattice, mp: MarketParams, terminal, *,

@@ -25,7 +25,6 @@ newline line endings, floats in shortest round-trip form.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -50,8 +49,8 @@ from .errors import (
     TooLarge,
     UnknownNode,
 )
-from .hedging import buyer_superhedge, extract_strategy, simulate_wealth, stopping_time
-from .robust import robust_buyer_price, robust_certificate, robust_seller_price
+from .hedging import extract_strategy, simulate_wealth, stopping_time
+from .robust import robust_certificate, robust_seller_price
 from .scenario import BuiltScenario, Scenario
 from .validation import EstimateParams, apriori_check
 
@@ -104,10 +103,8 @@ def _node_rows(lattice, fields, fmt=repr):
 def _cmd_price(ns, built: BuiltScenario) -> int:
     lattice, p = built.lattice, built.payoff
     sol = solve_drbsde(lattice, built.driver, p)
-    if built.family is not None:
-        buyer = robust_buyer_price(lattice, built.family, p, audit=False)
-    else:
-        buyer = buyer_superhedge(lattice, built.driver, p).price
+    # the buyer's price is the mirrored solve; for a family the driver is its envelope
+    buyer = -solve_drbsde(lattice, built.driver, p.reflected(lattice)).y0
     _write_csv(os.path.join(ns.out, "price.csv"),
                ["step", "j", "default_status", "Y", "Z", "K", "dA", "dA_prime"],
                _node_rows(lattice, [sol.y, sol.z, sol.k, sol.da, sol.dap]))
@@ -126,6 +123,10 @@ def _cmd_price(ns, built: BuiltScenario) -> int:
 
 
 def _cmd_hedge(ns, built: BuiltScenario) -> int:
+    if ns.x0_override is not None and not math.isfinite(ns.x0_override):
+        raise InvalidParams(f"--x0-override must be finite, got {ns.x0_override!r}")
+    if ns.epsilon is not None and not 0.0 < ns.epsilon < math.inf:
+        raise InvalidParams(f"--epsilon must be finite and > 0, got {ns.epsilon!r}")
     lattice, d, p = built.lattice, built.driver, built.payoff
     sol = solve_drbsde(lattice, d, p)
     strat = extract_strategy(sol, lattice.mp)
@@ -244,11 +245,9 @@ def _cmd_verify(ns, built: BuiltScenario) -> int:
     off = float(rng.uniform(-0.2, 0.2))
     lam_max = float(np.max(lattice.lam)) if lattice.lam.size else 0.0
     c = max(d.lambda_constant, math.sqrt(lam_max))
-    d1 = dataclasses.replace(d, lambda_constant=c)
-    d2 = d1.shifted(lambda ctx: amp * math.cos(freq * ctx.t) + off)
-    sol1 = solve_drbsde(lattice, d1, p)
+    d2 = d.shifted(lambda ctx: amp * math.cos(freq * ctx.t) + off)
     sol2 = solve_drbsde(lattice, d2, p)
-    ap = apriori_check(sol1, sol2, d1, d2, EstimateParams.for_constant(c))
+    ap = apriori_check(sol, sol2, d, d2, EstimateParams.for_constant(c))
     apriori = {
         "applies": bool(ap.applies),
         "max_violation": float(ap.max_violation),
@@ -261,8 +260,8 @@ def _cmd_verify(ns, built: BuiltScenario) -> int:
     }
 
     # comparison properties around the base solve
-    up = solve_drbsde(lattice, d1.shifted(lambda ctx: 0.1), p)
-    worst = _node_min(lattice, up.y, sol1.y)
+    up = solve_drbsde(lattice, d.shifted(lambda ctx: 0.1), p)
+    worst = _node_min(lattice, up.y, sol.y)
     check("driver_monotonicity", worst >= -tol * scale, worst)
 
     bump = 0.05
@@ -361,7 +360,8 @@ def _arg_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--scenario", required=True)
         sp.add_argument("--out", default=".")
-        sp.add_argument("--seed", type=int, default=0)
+        if name == "verify":
+            sp.add_argument("--seed", type=int, default=0)
         if name == "hedge":
             sp.add_argument("--epsilon", type=float, default=None)
             sp.add_argument("--x0-override", dest="x0_override", type=float,

@@ -19,14 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bsde import (
-    PICARD_MAX_ITER,
-    PICARD_TOL,
-    backward_sweep,
-    implicit_continuation,
-    node_fields,
-    require_contraction,
-)
+from .bsde import backward_sweep, implicit_continuation, node_fields, require_contraction
 from .drivers import Driver
 from .errors import BarrierViolation, NegativeDividend, TooLarge, UnknownNode
 from .lattice import Lattice, Node, NodeField
@@ -116,17 +109,32 @@ class DrbsdeSolution:
         return self.y.root
 
 
+def _checked_dividends(lattice: Lattice, dividends) -> NodeField:
+    """Dividend increments as a NodeField; every one paid must be >= 0."""
+    if not isinstance(dividends, NodeField):
+        dividends = NodeField.from_function(lattice, dividends)
+    for k in range(lattice.n_steps):
+        for arr in (dividends.alive[k], dividends.defaulted[k]):
+            if not (arr >= 0.0).all():
+                raise NegativeDividend(
+                    f"dividend increment {np.min(arr):.6g} is not >= 0 at step {k}")
+    return dividends
+
+
 def solve_drbsde(lattice: Lattice, d: Driver, p: PayoffSpec, *,
-                 dividends: NodeField | None = None,
-                 picard_tol: float = PICARD_TOL,
-                 max_iter: int = PICARD_MAX_ITER) -> DrbsdeSolution:
+                 dividends: NodeField | Callable | None = None) -> DrbsdeSolution:
     """Backward reflected solve.
 
     Per layer: continuation c solves c = E[Y'] (+ dividend) + g(t,c,Z,K) dt,
     then Y = clip(c, xi, zeta) and the increments are the exact projection
     residuals dA = (xi-c)^+ on {c < xi}, dA' = (c-zeta)^+ on {c > zeta}.
+    dividends: callable (t, s1, defaulted) -> increment earned over
+    [t, t+dt), or a NodeField of increments; NegativeDividend is raised
+    unless every increment is >= 0.
     """
     require_contraction(d, lattice)
+    if dividends is not None:
+        dividends = _checked_dividends(lattice, dividends)
     xi, zeta = p.layers(lattice)
     n = lattice.n_steps
     rows = {(n, dflt): (xi.layer(n, dflt).copy(), xi.layer(n, dflt).copy())
@@ -134,7 +142,7 @@ def solve_drbsde(lattice: Lattice, d: Driver, p: PayoffSpec, *,
     iters = 0
     for step, dflt, c, y, z, k, it in backward_sweep(
             lattice, d, (xi.alive[n], xi.defaulted[n]), n, barriers=(xi, zeta),
-            dividends=dividends, picard_tol=picard_tol, max_iter=max_iter):
+            dividends=dividends):
         lo, hi = xi.layer(step, dflt), zeta.layer(step, dflt)
         rows[step, dflt] = (y, c, z, k, np.where(c < lo, lo - c, 0.0),
                             np.where(c > hi, c - hi, 0.0))
@@ -148,22 +156,6 @@ def price_at_node(sol: DrbsdeSolution, node: Node) -> float:
     """The holder-facing price surface evaluated at one scenario node."""
     sol.lattice.check_node(node)
     return sol.y.at(node)
-
-
-def solve_with_dividends(lattice: Lattice, d: Driver, p: PayoffSpec,
-                         dividends, **kw) -> DrbsdeSolution:
-    """Reflected solve with a per-step dividend stream.
-
-    dividends: callable (t, s1, defaulted) -> increment earned over
-    [t, t+dt), or a NodeField of increments; increments must be >= 0.
-    """
-    if not isinstance(dividends, NodeField):
-        dividends = NodeField.from_function(lattice, dividends)
-    for k in range(lattice.n_steps):
-        for arr in (dividends.alive[k], dividends.defaulted[k]):
-            if arr.size and float(np.min(arr)) < 0.0:
-                raise NegativeDividend(f"dividend increment < 0 at step {k}")
-    return solve_drbsde(lattice, d, p, dividends=dividends, **kw)
 
 
 def enumerate_stopping_rules(lattice: Lattice, *, max_rules: int = 100_000) -> list[NodeField]:
@@ -244,9 +236,7 @@ def _stack_flags(rules: list[NodeField], lattice: Lattice):
 
 
 def stopped_pair_values(lattice: Lattice, d: Driver, p: PayoffSpec,
-                        tau_rules: list[NodeField], sigma_rules: list[NodeField], *,
-                        picard_tol: float = PICARD_TOL,
-                        max_iter: int = PICARD_MAX_ITER) -> np.ndarray:
+                        tau_rules: list[NodeField], sigma_rules: list[NodeField]) -> np.ndarray:
     """Root game values for every (exercise, cancellation) rule pair.
 
     The payoff settles xi at the exercise node when it comes no later than
@@ -278,14 +268,13 @@ def stopped_pair_values(lattice: Lattice, d: Driver, p: PayoffSpec,
         m_a, z_a, k_a, m_d, z_d = lattice.layer_regression(step, v_alive, v_dead)
         ctx = lattice.step_context(step, False)
         ctx2 = replace(ctx, s1=ctx.s1[:, None], s2=ctx.s2[:, None])
-        c_a, _ = implicit_continuation(ctx2, d, m_a, z_a, k_a, dt, picard_tol, max_iter)
+        c_a, _ = implicit_continuation(ctx2, d, m_a, z_a, k_a, dt)
         v_alive = masked(step, False, c_a)
         ndk = lattice.defaulted_size(step)
         if ndk:
             ctxd = lattice.step_context(step, True)
             ctxd2 = replace(ctxd, s1=ctxd.s1[:, None], s2=ctxd.s2[:, None])
-            c_d, _ = implicit_continuation(ctxd2, d, m_d, z_d, np.zeros_like(m_d), dt,
-                                           picard_tol, max_iter)
+            c_d, _ = implicit_continuation(ctxd2, d, m_d, z_d, np.zeros_like(m_d), dt)
             v_dead = masked(step, True, c_d)
         else:
             v_dead = np.zeros((0, nt * ns))
@@ -304,9 +293,7 @@ class DynkinResult:
 
 
 def dynkin_bruteforce(lattice: Lattice, d: Driver, p: PayoffSpec, *,
-                      max_steps: int = 4, max_pairs: int = 250_000,
-                      picard_tol: float = PICARD_TOL,
-                      max_iter: int = PICARD_MAX_ITER) -> DynkinResult:
+                      max_steps: int = 4, max_pairs: int = 250_000) -> DynkinResult:
     """Exhaustive value of the stopping game, both optimization orders.
 
     Enumerates every adapted stopping rule for each side, values all pairs,
@@ -320,8 +307,7 @@ def dynkin_bruteforce(lattice: Lattice, d: Driver, p: PayoffSpec, *,
     rules = enumerate_stopping_rules(lattice, max_rules=math.isqrt(max_pairs))
     n_rules = len(rules)
     n_pairs = n_rules * n_rules
-    matrix = stopped_pair_values(lattice, d, p, rules, rules,
-                                 picard_tol=picard_tol, max_iter=max_iter)
+    matrix = stopped_pair_values(lattice, d, p, rules, rules)
     row_min = matrix.min(axis=1)
     col_max = matrix.max(axis=0)
     ti = int(np.argmax(row_min))

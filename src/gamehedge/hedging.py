@@ -90,8 +90,8 @@ def stopping_time(sol: DrbsdeSolution, p: PayoffSpec, kind: str,
         flags = NodeField([ya == za for ya, za in zip(y.alive, zeta.alive)],
                           [yd == zd for yd, zd in zip(y.defaulted, zeta.defaulted)])
     elif kind == "sigma_eps":
-        if eps is None or not eps > 0.0:
-            raise InvalidParams("sigma_eps needs eps > 0")
+        if eps is None or not 0.0 < eps < np.inf:
+            raise InvalidParams("sigma_eps needs a finite eps > 0")
         flags = NodeField([ya >= za - eps for ya, za in zip(y.alive, zeta.alive)],
                           [yd >= zd - eps for yd, zd in zip(y.defaulted, zeta.defaulted)])
     elif kind == "tau_star":
@@ -135,7 +135,7 @@ class WealthReport:
 
     min_wealth: NodeField
     n_paths: int                    # lattice paths the node minima stand for
-    violations: int                 # nodes where a slack falls below -tol
+    violations: int                 # nodes where a slack is not >= -tol
     worst_xi_slack: float           # min over reached nodes of V - xi
     worst_stop_slack: float         # min over stop nodes of V - zeta (+ eps for sigma_eps)
     worst_ref_slack: float          # min over reached nodes of V - reference, inf if unused
@@ -181,7 +181,8 @@ def simulate_wealth(x0: float, strat: Strategy, d: Driver, lattice: Lattice,
             worst_stop = min(worst_stop, float(np.min(stop_slack)))
             if reference is not None:
                 worst_ref = min(worst_ref, float(np.min(v - reference.layer(k, defaulted))))
-            violations += int(np.sum((xi_slack < -tol) | (stop_slack < -tol)))
+            # a slack passes only if >= -tol, so a NaN wealth never reads as ok
+            violations += int(np.sum(~((xi_slack >= -tol) & (stop_slack >= -tol))))
             if k == n:
                 continue
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bsde import PICARD_MAX_ITER, PICARD_TOL, backward_sweep
+from .bsde import backward_sweep
 from .drbsde import (
     DrbsdeSolution,
     PayoffSpec,
@@ -68,9 +68,7 @@ def frozen_control_driver(fam: AmbiguityFamily, worst_alpha: NodeField,
 
 
 def robust_seller_price(lattice: Lattice, fam: AmbiguityFamily, p: PayoffSpec, *,
-                        audit: bool = True,
-                        picard_tol: float = PICARD_TOL,
-                        max_iter: int = PICARD_MAX_ITER) -> RobustResult:
+                        audit: bool = True) -> RobustResult:
     """Envelope solve, per-model grid solves, and the frozen-control check.
 
     Returns the envelope price v0_via_G, the grid maximum v0_via_grid,
@@ -84,8 +82,7 @@ def robust_seller_price(lattice: Lattice, fam: AmbiguityFamily, p: PayoffSpec, *
     if audit:
         for report in audit_family(fam, lattice):
             report.require()
-    kw = dict(picard_tol=picard_tol, max_iter=max_iter)
-    gsol = solve_drbsde(lattice, fam.sup_driver(), p, **kw)
+    gsol = solve_drbsde(lattice, fam.sup_driver(), p)
 
     n = lattice.n_steps
     xi, zeta = p.layers(lattice)
@@ -94,7 +91,7 @@ def robust_seller_price(lattice: Lattice, fam: AmbiguityFamily, p: PayoffSpec, *
                     fam.lambda_constant)
     top = tuple(np.repeat(a[:, None], len(grid), axis=1)
                 for a in (xi.alive[n], xi.defaulted[n]))
-    for layer in backward_sweep(lattice, models, top, n, barriers=(xi, zeta), **kw):
+    for layer in backward_sweep(lattice, models, top, n, barriers=(xi, zeta)):
         pass  # the last layer yielded is the root
     per_alpha = layer[3][0].copy()
 
@@ -114,7 +111,7 @@ def robust_seller_price(lattice: Lattice, fam: AmbiguityFamily, p: PayoffSpec, *
             worst.layer(step, defaulted)[:] = np.argmax(stackv, axis=0)
             ties += int(np.sum(np.sum(stackv == stackv.max(axis=0), axis=0) > 1))
 
-    fsol = solve_drbsde(lattice, frozen_control_driver(fam, worst), p, **kw)
+    fsol = solve_drbsde(lattice, frozen_control_driver(fam, worst), p)
     return RobustResult(
         v0_via_G=gsol.y0,
         v0_via_grid=float(np.max(per_alpha)),

@@ -214,7 +214,7 @@ class OdeCompareReport:
 
 
 def _step_implicit(b: Callable, t: float, prev: float, df: float, dt: float,
-                   lip: float, tol: float = 1e-14, max_iter: int = 200) -> float:
+                   tol: float = 1e-14, max_iter: int = 200) -> float:
     y = prev + df
     for _ in range(max_iter):
         nxt = prev + b(t, y) * dt + df
@@ -259,8 +259,8 @@ def ode_compare(b1: Callable, b2: Callable, x1: float, x2: float,
             raise PreconditionViolated(f"forcing gap increment {da} < 0", step=k)
         if mode == "implicit":
             t_next = (k + 1) * dt
-            y1[k + 1] = _step_implicit(b1, t_next, y1[k], f1[k + 1] - f1[k], dt, lip)
-            y2[k + 1] = _step_implicit(b2, t_next, y2[k], f2[k + 1] - f2[k], dt, lip)
+            y1[k + 1] = _step_implicit(b1, t_next, y1[k], f1[k + 1] - f1[k], dt)
+            y2[k + 1] = _step_implicit(b2, t_next, y2[k], f2[k + 1] - f2[k], dt)
             t_chk, y_chk = t_next, y2[k + 1]
         else:
             t_k = k * dt

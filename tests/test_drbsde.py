@@ -19,7 +19,6 @@ from gamehedge import (
     price_at_node,
     solve_bsde,
     solve_drbsde,
-    solve_with_dividends,
     stopped_pair_values,
 )
 
@@ -203,15 +202,31 @@ def test_dividend_stream():
     p = const_band(lattice, -1e6, 1e6, lambda s1: 5.0 + 0.0 * s1)
 
     plain = solve_drbsde(lattice, d, p)
-    wdiv = solve_with_dividends(lattice, d, p, lambda t, s1, defaulted: 0.03 + 0.0 * s1)
+    wdiv = solve_drbsde(lattice, d, p, dividends=lambda t, s1, defaulted: 0.03 + 0.0 * s1)
     assert wdiv.y0 == pytest.approx(5.0 + 4 * 0.03, abs=1e-14)
 
-    zero = solve_with_dividends(lattice, d, p, lambda t, s1, defaulted: 0.0 * s1)
+    zero = solve_drbsde(lattice, d, p, dividends=lambda t, s1, defaulted: 0.0 * s1)
     for k in range(lattice.n_steps + 1):
         assert np.array_equal(zero.y.alive[k], plain.y.alive[k])
 
     with pytest.raises(NegativeDividend):
-        solve_with_dividends(lattice, d, p, lambda t, s1, defaulted: -0.01 + 0.0 * s1)
+        solve_drbsde(lattice, d, p, dividends=lambda t, s1, defaulted: -0.01 + 0.0 * s1)
+
+
+def test_dividends_refused_unless_nonnegative():
+    mp = make_market(r=0.02, lambda_bar=0.3)
+    lattice = build_lattice(LatticeParams(horizon=1.0, n_steps=6), mp)
+    d = make_builtin_driver("perfect", mp)
+    p = PayoffSpec(xi=lambda t, s1, dflt: np.maximum(s1 - 1.0, 0.0),
+                   zeta=lambda t, s1, dflt: np.maximum(s1 - 1.0, 0.0) + 1.0)
+    field = NodeField.from_function(lattice, lambda t, s1, dflt: 0.001 + 0.0 * s1)
+    assert solve_drbsde(lattice, d, p, dividends=field).y0 > solve_drbsde(lattice, d, p).y0
+    field.defaulted[3][1] = -1e-3
+    with pytest.raises(NegativeDividend, match="at step 3"):
+        solve_drbsde(lattice, d, p, dividends=field)
+    with pytest.raises(NegativeDividend, match="nan is not >= 0 at step 2"):
+        solve_drbsde(lattice, d, p,
+                     dividends=lambda t, s1, dflt: np.where(t > 0.3, np.nan, 0.0) + 0.0 * s1)
 
 
 def test_monotone_in_barriers_and_driver():

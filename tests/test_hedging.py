@@ -141,6 +141,16 @@ def test_deficit_breaks_the_hedge():
     assert short.violations >= 1
 
 
+def test_nan_wealth_is_not_ok():
+    lattice, d, p = binding_instance()
+    sol = solve_drbsde(lattice, d, p)
+    strat = extract_strategy(sol, lattice.mp)
+    for kind, eps in (("sigma_star", None), ("sigma_eps", 0.01)):
+        rule = stopping_time(sol, p, kind, eps=eps)
+        rep = simulate_wealth(np.nan, strat, d, lattice, rule, reference=sol.y)
+        assert rep.violations >= 1 and not rep.ok
+
+
 def test_price_between_barriers():
     lattice, d, p = binding_instance()
     sol = solve_drbsde(lattice, d, p)
@@ -181,8 +191,9 @@ def test_stopping_kinds_and_validation():
 
     with pytest.raises(InvalidParams):
         stopping_time(sol, loose, "sigma_eps")
-    with pytest.raises(InvalidParams):
-        stopping_time(sol, loose, "sigma_eps", eps=-0.1)
+    for eps in (-0.1, 0.0, np.nan, np.inf):
+        with pytest.raises(InvalidParams, match="sigma_eps needs a finite eps > 0"):
+            stopping_time(sol, loose, "sigma_eps", eps=eps)
     with pytest.raises(InvalidParams):
         stopping_time(sol, loose, "whenever")
 

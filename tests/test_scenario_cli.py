@@ -211,6 +211,29 @@ def test_cli_hedge_epsilon_rule(tmp_path):
     assert all(line.split(",")[3] in ("0", "1") for line in stops[1:])
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--x0-override", "nan"), ("--x0-override", "inf"), ("--x0-override", "-inf"),
+    ("--epsilon", "nan"), ("--epsilon", "inf"), ("--epsilon", "-inf"),
+    ("--epsilon", "0"), ("--epsilon", "-0.01"),
+])
+def test_cli_hedge_rejects_non_finite_flags(tmp_path, capsys, flag, value):
+    path = write_scenario(tmp_path, scenario_dict())
+    out = tmp_path / "out"
+    assert main(["hedge", "--scenario", path, "--out", str(out), f"{flag}={value}"]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "InvalidParams" and err["message"].startswith(f"{flag} must be")
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["price", "hedge", "robust", "oracle"])
+def test_cli_seed_only_on_verify(tmp_path, capsys, command):
+    path = write_scenario(tmp_path, scenario_dict())
+    with pytest.raises(SystemExit) as e:
+        main([command, "--scenario", path, "--out", str(tmp_path), "--seed", "1"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_cli_parse_and_solver_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")

@@ -29,7 +29,6 @@ from gamehedge import (
     robust_seller_price,
     solve_bsde,
     solve_drbsde,
-    solve_with_dividends,
 )
 from instances import KINDS, draw_driver, draw_payoff
 
@@ -80,7 +79,7 @@ def test_reflected_solve_matches_reference(seed):
     def dividend(t, s1, defaulted):
         return rate * lattice.dt * s1
 
-    assert_same(solve_with_dividends(lattice, d, p, dividend),
+    assert_same(solve_drbsde(lattice, d, p, dividends=dividend),
                 ref.solve_drbsde(lattice, d, p,
                                  dividends=NodeField.from_function(lattice, dividend)),
                 DRBSDE_FIELDS)
