@@ -28,6 +28,8 @@ from .lattice import Lattice, MarketParams, NodeField, StepContext
 # Picard stopping rule of every implicit step; no solve takes its own.
 PICARD_TOL = 1e-14
 PICARD_MAX_ITER = 100
+# the deflator oracle sums over every path, up to 3^n of them
+LINEAR_ORACLE_MAX_STEPS = 12
 
 
 def implicit_continuation(ctx: StepContext, d: Driver, base, z, k, dt: float, *,
@@ -216,8 +218,7 @@ def buyer_european_price(lattice: Lattice, d: Driver, terminal) -> float:
     return -solve_bsde(lattice, d, (-a, -dv)).y0
 
 
-def linear_price_oracle(lattice: Lattice, mp: MarketParams, terminal, *,
-                        max_steps: int = 12) -> float:
+def linear_price_oracle(lattice: Lattice, mp: MarketParams, terminal) -> float:
     """Price a terminal payoff by the state-price density, path by path.
 
     Each branch carries the weight p * (1 - (theta1 dW + theta2 dM)/(1 - q));
@@ -226,8 +227,9 @@ def linear_price_oracle(lattice: Lattice, mp: MarketParams, terminal, *,
     the perfect-market driver is checked against.
     """
     n = lattice.n_steps
-    if n > max_steps:
-        raise TooLarge(f"deflator oracle limited to {max_steps} steps, lattice has {n}")
+    if n > LINEAR_ORACLE_MAX_STEPS:
+        raise TooLarge(f"deflator oracle limited to {LINEAR_ORACLE_MAX_STEPS} steps, "
+                       f"lattice has {n}")
     term_a, term_d = terminal_layers(lattice, terminal, n)
     dt = lattice.dt
     s = math.sqrt(dt)

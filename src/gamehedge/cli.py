@@ -4,13 +4,14 @@
     gamehedge hedge  --scenario s.json [--out DIR] [--epsilon E] [--x0-override X]
     gamehedge robust --scenario s.json [--out DIR]
     gamehedge verify --scenario s.json [--out DIR] [--seed N]
-    gamehedge oracle --scenario s.json [--out DIR] [--max-oracle-steps N]
+    gamehedge oracle --scenario s.json [--out DIR]
 
-Exit codes: 0 success, 1 parse or audit failure, 2 solver failure,
+Exit codes: 0 success, 1 usage, parse or audit failure, 2 solver failure,
 3 verification failure (an invariant the run was asked to certify does
-not hold).  Errors are emitted as one JSON object on stderr.  All outputs
-are deterministic: identical scenario and flags give byte-identical
-files.
+not hold).  The code of a failure is its error type's `exit_code`; every
+error, a usage error included, is emitted as one JSON object on stderr.
+All outputs are deterministic: identical scenario and flags give
+byte-identical files.
 
 Every solve is one backward sweep (`bsde.backward_sweep`); `robust`
 solves all grid models in one sweep, a column per model on a trailing
@@ -33,38 +34,13 @@ import sys
 import numpy as np
 
 from .drbsde import dynkin_bruteforce, solve_drbsde
-from .errors import (
-    AuditFailure,
-    BarrierViolation,
-    DensityNotPositive,
-    EmptyGrid,
-    InvalidParams,
-    MismatchedInstances,
-    NegativeDividend,
-    NoContraction,
-    NuOutOfRange,
-    PicardDivergence,
-    PreconditionViolated,
-    ScenarioError,
-    TooLarge,
-    UnknownNode,
-)
+from .errors import GameHedgeError, InvalidParams, ScenarioError
 from .hedging import extract_strategy, simulate_wealth, stopping_time
 from .robust import robust_certificate, robust_seller_price
 from .scenario import BuiltScenario, Scenario
 from .validation import EstimateParams, apriori_check
 
 ORACLE_TOL = 1e-10
-
-_PARSE_ERRORS = (ScenarioError, AuditFailure, BarrierViolation, InvalidParams,
-                 NuOutOfRange, EmptyGrid, NegativeDividend, OSError)
-_SOLVER_ERRORS = (NoContraction, PicardDivergence, DensityNotPositive, TooLarge,
-                  UnknownNode, MismatchedInstances, PreconditionViolated)
-
-
-def _emit_error(e: Exception) -> None:
-    payload = {"error": type(e).__name__, "message": str(e)}
-    sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _fmt(x) -> str:
@@ -166,8 +142,7 @@ def _cmd_hedge(ns, built: BuiltScenario) -> int:
 
 def _cmd_robust(ns, built: BuiltScenario) -> int:
     if built.family is None:
-        _emit_error(ScenarioError("robust needs an ambiguity driver"))
-        return 1
+        raise ScenarioError("robust needs an ambiguity driver")
     lattice, fam, p = built.lattice, built.family, built.payoff
     result = robust_seller_price(lattice, fam, p, audit=False)
     certs = robust_certificate(lattice, fam, p, result,
@@ -244,7 +219,8 @@ def _cmd_verify(ns, built: BuiltScenario) -> int:
     freq = float(rng.uniform(0.5, 3.0))
     off = float(rng.uniform(-0.2, 0.2))
     lam_max = float(np.max(lattice.lam)) if lattice.lam.size else 0.0
-    c = max(d.lambda_constant, math.sqrt(lam_max))
+    # a generator with constant 0 and no default admits every c > 0
+    c = max(d.lambda_constant, math.sqrt(lam_max)) or 1.0
     d2 = d.shifted(lambda ctx: amp * math.cos(freq * ctx.t) + off)
     sol2 = solve_drbsde(lattice, d2, p)
     ap = apriori_check(sol, sol2, d, d2, EstimateParams.for_constant(c))
@@ -317,10 +293,8 @@ def _cmd_verify(ns, built: BuiltScenario) -> int:
 
 def _cmd_oracle(ns, built: BuiltScenario) -> int:
     lattice, d, p = built.lattice, built.driver, built.payoff
-    max_steps = (int(ns.max_oracle_steps) if ns.max_oracle_steps is not None
-                 else int(built.options["max_oracle_steps"]))
     sol = solve_drbsde(lattice, d, p)
-    dyn = dynkin_bruteforce(lattice, d, p, max_steps=max_steps)
+    dyn = dynkin_bruteforce(lattice, d, p)
     gap_saddle = abs(dyn.sup_inf - dyn.inf_sup)
     gap_value = abs(dyn.inf_sup - sol.y0)
     ok = gap_saddle < ORACLE_TOL and gap_value < ORACLE_TOL
@@ -351,10 +325,17 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error raises InvalidParams with argparse's message, which
+    names the flag or command; --help still prints and exits 0."""
+
+    def error(self, message):
+        raise InvalidParams(message)
+
+
 def _arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="gamehedge",
-                                 description="Game-option pricing on a "
-                                             "defaultable lattice")
+    ap = _ArgumentParser(prog="gamehedge",
+                         description="Game-option pricing on a defaultable lattice")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sp = sub.add_parser(name)
@@ -366,32 +347,19 @@ def _arg_parser() -> argparse.ArgumentParser:
             sp.add_argument("--epsilon", type=float, default=None)
             sp.add_argument("--x0-override", dest="x0_override", type=float,
                             default=None)
-        if name == "oracle":
-            sp.add_argument("--max-oracle-steps", dest="max_oracle_steps",
-                            type=int, default=None)
     return ap
 
 
 def main(argv=None) -> int:
-    ns = _arg_parser().parse_args(argv)
     try:
-        sc = Scenario.from_file(ns.scenario)
-        built = sc.build()
+        ns = _arg_parser().parse_args(argv)
+        built = Scenario.from_file(ns.scenario).build()
         os.makedirs(ns.out, exist_ok=True)
-    except _PARSE_ERRORS as e:
-        _emit_error(e)
-        return 1
-    except _SOLVER_ERRORS as e:
-        _emit_error(e)
-        return 2
-    try:
         return _COMMANDS[ns.command](ns, built)
-    except _PARSE_ERRORS as e:
-        _emit_error(e)
-        return 1
-    except _SOLVER_ERRORS as e:
-        _emit_error(e)
-        return 2
+    except (GameHedgeError, OSError) as e:
+        payload = {"error": type(e).__name__, "message": str(e)}
+        sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
+        return e.exit_code if isinstance(e, GameHedgeError) else 1
 
 
 if __name__ == "__main__":

@@ -24,6 +24,13 @@ from .drivers import Driver
 from .errors import BarrierViolation, NegativeDividend, TooLarge, UnknownNode
 from .lattice import Lattice, Node, NodeField
 
+# Bounds of the brute-force oracle: at most 500 stopping rules, so at most
+# 250,000 rule pairs.  Every lattice of 5 or more steps has more than 500
+# rules (802 at 5 steps without default, more with it), so the step bound
+# refuses only what the rule bound would, before a depth-n enumeration.
+BRUTEFORCE_MAX_STEPS = 4
+BRUTEFORCE_MAX_RULES = 500
+
 
 def _checked(xi: NodeField, zeta: NodeField) -> tuple[NodeField, NodeField]:
     """Set zeta = xi at the terminal layer, require finite xi <= zeta at
@@ -158,13 +165,14 @@ def price_at_node(sol: DrbsdeSolution, node: Node) -> float:
     return sol.y.at(node)
 
 
-def enumerate_stopping_rules(lattice: Lattice, *, max_rules: int = 100_000) -> list[NodeField]:
+def enumerate_stopping_rules(lattice: Lattice) -> list[NodeField]:
     """All adapted stopping rules on the lattice, as boolean stop-flag fields.
 
     A rule marks, at every node it can reach without having stopped, whether
     it stops there; terminal nodes always stop.  Rules are returned sorted
     so that earlier-stopping rules come first (stop sorts before continue in
     node order), which fixes the tie-breaking of arg-max/arg-min selections.
+    TooLarge is raised past BRUTEFORCE_MAX_RULES rules.
     """
     n = lattice.n_steps
     rules: list[NodeField] = []
@@ -194,11 +202,14 @@ def enumerate_stopping_rules(lattice: Lattice, *, max_rules: int = 100_000) -> l
             flags.layer(n, defaulted)[j] = True
         return flags
 
+    def add(flags):
+        rules.append(flags)
+        if len(rules) > BRUTEFORCE_MAX_RULES:
+            raise TooLarge(f"more than {BRUTEFORCE_MAX_RULES} stopping rules")
+
     def rec(step, frontier, marks):
         if step == n:
-            rules.append(finalize(marks, frontier))
-            if len(rules) > max_rules:
-                raise TooLarge(f"more than {max_rules} stopping rules")
+            add(finalize(marks, frontier))
             return
         m = len(frontier)
         for mask in range(1 << m):
@@ -206,9 +217,7 @@ def enumerate_stopping_rules(lattice: Lattice, *, max_rules: int = 100_000) -> l
             alive = [frontier[i] for i in range(m) if not mask >> i & 1]
             new_marks = marks + [(step, d, j) for d, j in stopped]
             if not alive:
-                rules.append(finalize(new_marks, []))
-                if len(rules) > max_rules:
-                    raise TooLarge(f"more than {max_rules} stopping rules")
+                add(finalize(new_marks, []))
                 continue
             rec(step + 1, successors(step, alive), new_marks)
 
@@ -292,8 +301,7 @@ class DynkinResult:
     n_pairs: int
 
 
-def dynkin_bruteforce(lattice: Lattice, d: Driver, p: PayoffSpec, *,
-                      max_steps: int = 4, max_pairs: int = 250_000) -> DynkinResult:
+def dynkin_bruteforce(lattice: Lattice, d: Driver, p: PayoffSpec) -> DynkinResult:
     """Exhaustive value of the stopping game, both optimization orders.
 
     Enumerates every adapted stopping rule for each side, values all pairs,
@@ -301,10 +309,10 @@ def dynkin_bruteforce(lattice: Lattice, d: Driver, p: PayoffSpec, *,
     rules.  Intended as the independent oracle for the reflected solver at
     desk scale; guarded by TooLarge beyond it.
     """
-    if lattice.n_steps > max_steps:
-        raise TooLarge(f"brute force limited to {max_steps} steps, lattice has {lattice.n_steps}")
-    # at most isqrt(max_pairs) rules keeps the pair count within max_pairs
-    rules = enumerate_stopping_rules(lattice, max_rules=math.isqrt(max_pairs))
+    if lattice.n_steps > BRUTEFORCE_MAX_STEPS:
+        raise TooLarge(f"brute force limited to {BRUTEFORCE_MAX_STEPS} steps, "
+                       f"lattice has {lattice.n_steps}")
+    rules = enumerate_stopping_rules(lattice)
     n_rules = len(rules)
     n_pairs = n_rules * n_rules
     matrix = stopped_pair_values(lattice, d, p, rules, rules)

@@ -5,8 +5,8 @@ jump integrand k with weight sqrt(lam_t), so that any k-dependence dies
 with the intensity.  Audits probe user closures numerically on grids; the
 builtins carry constants computed from their coefficients.
 
-Audit cost.  `audit_driver` evaluates g on m probes (m = points^3, 125 by
-default) at every (step, default-status) context, one column per node of
+Audit cost.  `audit_driver` evaluates g on the m = 125 probes of
+AUDIT_PROBES at every (step, default-status) context, one column per node of
 the layer: O(n * m * width).  The pair pass, over the m(m-1)/2 probe
 pairs, costs O(m^2) per column, and runs on far fewer contexts:
 
@@ -178,19 +178,11 @@ def make_builtin_driver(kind: str, mp: MarketParams, *, borrow_rate: float | Non
     raise InvalidParams(f"unknown builtin driver kind: {kind!r}")
 
 
-@dataclass(frozen=True)
-class AuditSpec:
-    """Probe grid for numerical admissibility checks."""
-
-    y_range: tuple[float, float] = (-2.0, 2.0)
-    z_range: tuple[float, float] = (-2.0, 2.0)
-    k_range: tuple[float, float] = (-2.0, 2.0)
-    points: int = 5
-
-    def grid(self) -> np.ndarray:
-        axes = [np.linspace(*rng, self.points) for rng in (self.y_range, self.z_range, self.k_range)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+# The probes of every numerical audit: rows (y, z, k) on a 5-point grid of
+# [-2, 2] per axis, m = 125, in meshgrid "ij" order.
+AUDIT_PROBES = np.stack([m.ravel() for m in np.meshgrid(
+    *[np.linspace(-2.0, 2.0, 5)] * 3, indexing="ij")], axis=1)
+AUDIT_PROBES.flags.writeable = False
 
 
 @dataclass
@@ -245,7 +237,7 @@ def _eval_grid(d: Driver, ctx: StepContext, probes: np.ndarray) -> np.ndarray:
     return vals.copy()
 
 
-def audit_driver(d: Driver, lattice: Lattice, spec: AuditSpec | None = None) -> AuditReport:
+def audit_driver(d: Driver, lattice: Lattice) -> AuditReport:
     """Probe d on every step context and report admissibility measurements.
 
     The Lipschitz ratio is maximized over all probe pairs; the jump
@@ -256,8 +248,7 @@ def audit_driver(d: Driver, lattice: Lattice, spec: AuditSpec | None = None) -> 
     g is evaluated at every context; the pair pass runs once per distinct
     single-column (lam, values) key, see the module docstring.
     """
-    spec = spec or AuditSpec()
-    probes = spec.grid()
+    probes = AUDIT_PROBES
     ia, ib = np.triu_indices(probes.shape[0], k=1)
     dy = np.abs(probes[ia, 0] - probes[ib, 0])
     dz = np.abs(probes[ia, 1] - probes[ib, 1])
@@ -376,7 +367,6 @@ class AmbiguityFamily:
         return np.argmax(self.stacked(ctx, y, z, k), axis=0)
 
 
-def audit_family(fam: AmbiguityFamily, lattice: Lattice,
-                 spec: AuditSpec | None = None) -> list[AuditReport]:
+def audit_family(fam: AmbiguityFamily, lattice: Lattice) -> list[AuditReport]:
     """Audit every member; the envelope inherits the worst constant."""
-    return [audit_driver(d, lattice, spec) for d in fam.members()]
+    return [audit_driver(d, lattice) for d in fam.members()]

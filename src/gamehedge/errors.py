@@ -1,8 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each type carries the exit code the command line returns for it: 1 unless
+set (usage, scenario, audit and parameter errors), 2 for solver failures.
+"""
 
 
 class GameHedgeError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 1
 
 
 class InvalidParams(GameHedgeError):
@@ -28,13 +34,19 @@ class NuOutOfRange(GameHedgeError):
 class NoContraction(GameHedgeError):
     """The implicit step is not a contraction (C * dt >= 1)."""
 
+    exit_code = 2
+
 
 class PicardDivergence(GameHedgeError):
     """Picard iteration produced a non-finite iterate or hit the iteration cap."""
 
+    exit_code = 2
+
 
 class DensityNotPositive(GameHedgeError):
     """A state-price density factor is nonpositive on some branch."""
+
+    exit_code = 2
 
 
 class BarrierViolation(GameHedgeError):
@@ -52,17 +64,25 @@ class NegativeDividend(GameHedgeError):
 class TooLarge(GameHedgeError):
     """A brute-force enumeration bound was exceeded."""
 
+    exit_code = 2
+
 
 class UnknownNode(GameHedgeError):
     """A node reference does not exist on the lattice."""
+
+    exit_code = 2
 
 
 class MismatchedInstances(GameHedgeError):
     """Two solutions do not live on the same lattice."""
 
+    exit_code = 2
+
 
 class PreconditionViolated(GameHedgeError):
     """Caller data violates a comparison hypothesis; carries the step index."""
+
+    exit_code = 2
 
     def __init__(self, message, step=None):
         super().__init__(message)

@@ -17,6 +17,7 @@ decides every slack exactly, so the recombining sweep costs O(n^2) and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -156,8 +157,12 @@ def simulate_wealth(x0: float, strat: Strategy, d: Driver, lattice: Lattice,
     comparison theorem), so the least wealth among the paths reaching a
     node decides every slack there: each node keeps that minimum, takes
     its slacks, and passes it to its successors unless the rule fires.
-    The worst slacks equal those of stepping every path on its own.
+    The worst slacks equal those of stepping every path on its own, and a
+    NaN wealth makes the worst slacks it enters NaN.  InvalidParams is
+    raised unless x0 is finite.
     """
+    if not math.isfinite(x0):
+        raise InvalidParams(f"x0 must be finite, got {x0!r}")
     require_contraction(d, lattice)
     n = lattice.n_steps
     dt, s = lattice.dt, lattice.sqrt_dt
@@ -177,10 +182,11 @@ def simulate_wealth(x0: float, strat: Strategy, d: Driver, lattice: Lattice,
             stop = rule.flags.layer(k, defaulted) | (k == n)
             xi_slack = v - rule.xi.layer(k, defaulted)
             stop_slack = np.where(stop, v - rule.zeta.layer(k, defaulted) + eps_adj, np.inf)
-            worst_xi = min(worst_xi, float(np.min(xi_slack)))
-            worst_stop = min(worst_stop, float(np.min(stop_slack)))
+            # np.minimum keeps a NaN, where min(inf, nan) would drop it
+            worst_xi = np.minimum(worst_xi, np.min(xi_slack))
+            worst_stop = np.minimum(worst_stop, np.min(stop_slack))
             if reference is not None:
-                worst_ref = min(worst_ref, float(np.min(v - reference.layer(k, defaulted))))
+                worst_ref = np.minimum(worst_ref, np.min(v - reference.layer(k, defaulted)))
             # a slack passes only if >= -tol, so a NaN wealth never reads as ok
             violations += int(np.sum(~((xi_slack >= -tol) & (stop_slack >= -tol))))
             if k == n:
@@ -205,8 +211,8 @@ def simulate_wealth(x0: float, strat: Strategy, d: Driver, lattice: Lattice,
     # D_{k+1} = 2 D_k + [q_k > 0] 2^k defaulted paths: 2^(n-1) per default step
     n_paths = 2 ** n + int(np.count_nonzero(lattice.q > 0.0)) * 2 ** (n - 1)
     return WealthReport(min_wealth=mins, n_paths=n_paths, violations=violations,
-                        worst_xi_slack=worst_xi, worst_stop_slack=worst_stop,
-                        worst_ref_slack=worst_ref, tol=tol)
+                        worst_xi_slack=float(worst_xi), worst_stop_slack=float(worst_stop),
+                        worst_ref_slack=float(worst_ref), tol=tol)
 
 
 class BuyerHedge(NamedTuple):

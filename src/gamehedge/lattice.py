@@ -197,9 +197,6 @@ class Lattice:
         # none on a default-free lattice and none at the root.
         return k if (self.has_default and k >= 1) else 0
 
-    def node_count(self, k: int) -> int:
-        return self.alive_size(k) + self.defaulted_size(k)
-
     def check_node(self, node: Node) -> None:
         if node.step < 0 or node.step > self.n_steps:
             raise UnknownNode(f"step out of range: {node}")

@@ -38,6 +38,8 @@ from .hedging import (
 from .lattice import Lattice, NodeField
 
 TOL_ROBUST = 1e-10
+# the interchange check values every rule pair under every control
+INTERCHANGE_MAX_STEPS = 3
 
 
 @dataclass
@@ -152,7 +154,6 @@ class InterchangeReport:
     v0_via_G: float
     n_rules: int
     n_controls: int
-    tol: float
 
     @property
     def gap(self) -> float:
@@ -160,13 +161,12 @@ class InterchangeReport:
 
     @property
     def ok(self) -> bool:
-        return (self.gap <= self.tol
-                and abs(self.sup_inf_over_alpha - self.v0_via_G) <= self.tol)
+        return (self.gap <= TOL_ROBUST
+                and abs(self.sup_inf_over_alpha - self.v0_via_G) <= TOL_ROBUST)
 
 
-def interchange_check(lattice: Lattice, fam: AmbiguityFamily, p: PayoffSpec, *,
-                      tol: float = TOL_ROBUST, max_steps: int = 3,
-                      audit: bool = True) -> InterchangeReport:
+def interchange_check(lattice: Lattice, fam: AmbiguityFamily,
+                      p: PayoffSpec) -> InterchangeReport:
     """Order-of-optimization identity by full enumeration.
 
     Values every (stopping pair, control) combination, where the controls
@@ -174,9 +174,9 @@ def interchange_check(lattice: Lattice, fam: AmbiguityFamily, p: PayoffSpec, *,
     over controls and the minmax over cancellation must agree with each
     other and with the envelope price.
     """
-    if lattice.n_steps > max_steps:
-        raise TooLarge(f"interchange enumeration limited to {max_steps} steps")
-    result = robust_seller_price(lattice, fam, p, audit=audit)
+    if lattice.n_steps > INTERCHANGE_MAX_STEPS:
+        raise TooLarge(f"interchange enumeration limited to {INTERCHANGE_MAX_STEPS} steps")
+    result = robust_seller_price(lattice, fam, p)
     rules = enumerate_stopping_rules(lattice)
     drivers = fam.members() + [frozen_control_driver(fam, result.worst_alpha)]
     mats = np.stack([stopped_pair_values(lattice, dr, p, rules, rules)
@@ -191,7 +191,6 @@ def interchange_check(lattice: Lattice, fam: AmbiguityFamily, p: PayoffSpec, *,
         v0_via_G=result.v0_via_G,
         n_rules=len(rules),
         n_controls=len(drivers),
-        tol=tol,
     )
 
 

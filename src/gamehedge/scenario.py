@@ -12,15 +12,13 @@ Schema (field names fixed, unknown keys rejected):
                | {"kind": "ambiguity", "base": {"kind": "perfect"},
                   "u_grid": [-0.2, 0.0, 0.3], "nu": [-0.2, 0.0, 0.3]},
       "payoff":  {"xi": "pos(S1 - 0.95)", "zeta": "pos(S1 - 0.95) + 0.04"},
-      "options": {"epsilon": 0.01, "tolerance": 1e-12, "max_oracle_steps": 4}
+      "options": {"tolerance": 1e-12}
     }
 
-"r" and "lambda_bar" take one number or a per-step list.  The default
-max_oracle_steps of 4 stays within the brute-force oracle's bound of
-250000 rule pairs only on default-free lattices; with a positive
-intensity the oracle is limited to 3 steps.  The ambiguity
-"nu" table lists one tilt value per u_grid entry (time-constant).  Barrier
-formulas use the grammar
+"r" and "lambda_bar" take one number or a per-step list.  The one option,
+tolerance, is the slack the hedge certificates and verify's checks allow.
+The ambiguity "nu" table lists one tilt value per u_grid entry
+(time-constant).  Barrier formulas use the grammar
 
     expr   := term (('+' | '-') term)*
     term   := factor ('*' factor)*
@@ -236,7 +234,7 @@ def _validate_driver(spec: dict, where: str = "driver", nested: bool = False) ->
                             f"{_BUILTIN_KINDS + ('ambiguity',)}")
 
 
-_OPTION_DEFAULTS = {"epsilon": 0.01, "tolerance": 1e-12, "max_oracle_steps": 4}
+_OPTION_DEFAULTS = {"tolerance": 1e-12}
 
 
 @dataclass(frozen=True)
@@ -293,14 +291,8 @@ class Scenario:
         _check_keys(opts, "options", (), tuple(_OPTION_DEFAULTS))
         for key, dflt in _OPTION_DEFAULTS.items():
             opts.setdefault(key, dflt)
-        if not (_is_num(opts["epsilon"]) and opts["epsilon"] > 0):
-            raise ScenarioError("options.epsilon must be a positive finite number")
         if not (_is_num(opts["tolerance"]) and opts["tolerance"] > 0):
             raise ScenarioError("options.tolerance must be a positive finite number")
-        if not (isinstance(opts["max_oracle_steps"], int)
-                and not isinstance(opts["max_oracle_steps"], bool)
-                and opts["max_oracle_steps"] >= 1):
-            raise ScenarioError("options.max_oracle_steps must be an integer >= 1")
         data = {"lattice": lat, "market": mkt, "driver": raw["driver"],
                 "payoff": pay, "options": opts}
         return cls(data=data)
@@ -308,7 +300,11 @@ class Scenario:
     @classmethod
     def from_file(cls, path) -> "Scenario":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as e:
+                raise ScenarioError(f"scenario is not UTF-8: {e}") from e
+        return cls.from_text(text)
 
     def canonical(self) -> str:
         return json.dumps(self.data, sort_keys=True, indent=2) + "\n"

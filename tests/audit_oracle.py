@@ -2,16 +2,33 @@
 
 Kept verbatim as an independent oracle: it builds the full m x m x width
 probe-pair arrays for every (step, default-status) context and shares no
-code with `gamehedge.drivers.audit_driver` beyond the report and spec
-types.  Tests require the two to give field-by-field equal reports.
+code with `gamehedge.drivers.audit_driver` beyond the report type; its
+probe grid is its own copy of the spec the audit used to take.  Tests require the two to give field-by-field equal reports.
 """
 
 import math
 
 import numpy as np
 
-from gamehedge.drivers import ROYER_TOL, AuditReport, AuditSpec, Driver
+from dataclasses import dataclass
+
+from gamehedge.drivers import ROYER_TOL, AuditReport, Driver
 from gamehedge.lattice import Lattice, StepContext
+
+
+@dataclass(frozen=True)
+class AuditSpec:
+    """Probe grid for numerical admissibility checks."""
+
+    y_range: tuple[float, float] = (-2.0, 2.0)
+    z_range: tuple[float, float] = (-2.0, 2.0)
+    k_range: tuple[float, float] = (-2.0, 2.0)
+    points: int = 5
+
+    def grid(self) -> np.ndarray:
+        axes = [np.linspace(*rng, self.points) for rng in (self.y_range, self.z_range, self.k_range)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def _eval_grid(d: Driver, ctx: StepContext, probes: np.ndarray) -> np.ndarray:

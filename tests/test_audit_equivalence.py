@@ -112,9 +112,9 @@ def test_verify_audits_each_driver_once(tmp_path, monkeypatch, driver, calls):
 
     seen = []
 
-    def counting(d, lattice, spec=None):
+    def counting(d, lattice):
         seen.append(d.label)
-        return audit_driver(d, lattice, spec)
+        return audit_driver(d, lattice)
 
     for module in (gamehedge.drivers, gamehedge.scenario, gamehedge.cli):
         if hasattr(module, "audit_driver"):

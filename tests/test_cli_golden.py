@@ -123,6 +123,13 @@ def run_outputs(tmp_path, name, argv):
 def test_cli_output_bytes_match_golden(tmp_path, name, argv):
     code, hashes = run_outputs(tmp_path, name, argv)
     assert (code, hashes) == GOLDEN[name + " " + " ".join(argv)]
+    # every input here is finite, so no report may hold NaN or Infinity
+    (report,) = tmp_path.glob("*/out/report.json")
+    json.loads(report.read_text(encoding="utf-8"), parse_constant=refuse_constant)
+
+
+def refuse_constant(constant):
+    raise ValueError(f"report holds {constant}")
 
 
 if __name__ == "__main__":

@@ -299,14 +299,15 @@ def test_too_large_guards():
                    0.0, 1.0, lambda s1: 0.5 + 0.0 * s1)
     d = make_builtin_driver("perfect", mp)
     big = build_lattice(LatticeParams(horizon=1.0, n_steps=5), mp)
-    with pytest.raises(TooLarge):
-        dynkin_bruteforce(big, d, p, max_steps=4)
-    lat3 = build_lattice(LatticeParams(horizon=1.0, n_steps=3), mp)
-    with pytest.raises(TooLarge):
-        enumerate_stopping_rules(lat3, max_rules=10)
-    p3 = const_band(lat3, 0.0, 1.0, lambda s1: 0.5 + 0.0 * s1)
-    with pytest.raises(TooLarge):
-        dynkin_bruteforce(lat3, d, p3, max_pairs=100)
+    with pytest.raises(TooLarge, match="limited to 4 steps"):
+        dynkin_bruteforce(big, d, p)
+    # 4 steps pass the step bound, but with default they carry 4209 rules
+    lat4 = build_lattice(LatticeParams(horizon=1.0, n_steps=4), mp)
+    with pytest.raises(TooLarge, match="more than 500 stopping rules"):
+        enumerate_stopping_rules(lat4)
+    p4 = const_band(lat4, 0.0, 1.0, lambda s1: 0.5 + 0.0 * s1)
+    with pytest.raises(TooLarge, match="more than 500 stopping rules"):
+        dynkin_bruteforce(lat4, d, p4)
 
 
 def test_reflected_spec_is_exact_mirror():

@@ -4,7 +4,6 @@ import pytest
 from gamehedge import InvalidParams, LatticeParams, MarketParams, build_lattice
 from gamehedge.drivers import (
     AmbiguityFamily,
-    AuditSpec,
     Driver,
     audit_driver,
     audit_family,

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import certificate_oracle
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from gamehedge import (
     extract_strategy,
     integrands_of,
     make_builtin_driver,
+    rule_from_flags,
     sigma_bar_rule,
     simulate_wealth,
     solve_drbsde,
@@ -145,10 +149,18 @@ def test_nan_wealth_is_not_ok():
     lattice, d, p = binding_instance()
     sol = solve_drbsde(lattice, d, p)
     strat = extract_strategy(sol, lattice.mp)
-    for kind, eps in (("sigma_star", None), ("sigma_eps", 0.01)):
-        rule = stopping_time(sol, p, kind, eps=eps)
-        rep = simulate_wealth(np.nan, strat, d, lattice, rule, reference=sol.y)
-        assert rep.violations >= 1 and not rep.ok
+    for x0 in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidParams, match="x0 must be finite"):
+            simulate_wealth(x0, strat, d, lattice, stopping_time(sol, p, "sigma_star"))
+    # a NaN that enters through the strategy: the root sits on zeta, so only
+    # a rule that holds to expiry lets it reach the successors
+    phi1 = strat.phi1.copy()
+    phi1.alive[0][0] = np.nan
+    poisoned = dataclasses.replace(strat, phi1=phi1)
+    hold = rule_from_flags(lattice, NodeField.zeros(lattice), p)
+    rep = simulate_wealth(sol.y0, poisoned, d, lattice, hold, reference=sol.y)
+    assert rep.violations >= 1 and not rep.ok
+    assert math.isnan(rep.worst_xi_slack)
 
 
 def test_price_between_barriers():

@@ -10,6 +10,7 @@ from gamehedge import (
     ScenarioError,
     parse_payoff_expression,
 )
+from gamehedge import errors
 from gamehedge.cli import main
 
 
@@ -73,8 +74,7 @@ def test_round_trip_is_byte_stable(tmp_path):
 
 def test_defaults_materialized():
     sc = Scenario.from_text(json.dumps(scenario_dict()))
-    assert sc.options == {"epsilon": 0.01, "tolerance": 1e-12,
-                          "max_oracle_steps": 4}
+    assert sc.options == {"tolerance": 1e-12}
 
 
 def test_scenario_rejections():
@@ -228,10 +228,54 @@ def test_cli_hedge_rejects_non_finite_flags(tmp_path, capsys, flag, value):
 @pytest.mark.parametrize("command", ["price", "hedge", "robust", "oracle"])
 def test_cli_seed_only_on_verify(tmp_path, capsys, command):
     path = write_scenario(tmp_path, scenario_dict())
+    assert main([command, "--scenario", path, "--out", str(tmp_path), "--seed", "1"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "InvalidParams", "message": "unrecognized arguments: --seed 1"}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["price", "--scenario", "{s}", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["hedge", "--scenario", "{s}", "--x0-override", "abc"],
+     "argument --x0-override: invalid float value: 'abc'"),
+    (["price", "--scenario", "{s}", "--bogus"], "unrecognized arguments: --bogus"),
+    (["quote", "--scenario", "{s}"], "argument command: invalid choice: 'quote'"),
+    (["price"], "the following arguments are required: --scenario"),
+])
+def test_cli_usage_errors_exit_1_with_one_json_line(tmp_path, capsys, argv, message):
+    path = write_scenario(tmp_path, scenario_dict())
+    out = tmp_path / "out"
+    argv = [a.replace("{s}", path) for a in argv] + ["--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.out == ""
+    err = json.loads(lines[0])
+    assert err["error"] == "InvalidParams" and err["message"].startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["hedge", "--help"]])
+def test_cli_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as e:
-        main([command, "--scenario", path, "--out", str(tmp_path), "--seed", "1"])
-    assert e.value.code == 2
-    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        main(argv)
+    assert e.value.code == 0
+    assert "usage: gamehedge" in capsys.readouterr().out
+
+
+# each error type's exit code, as the CLI's parse and solver tuples gave it
+EXIT_CODES = {
+    "ScenarioError": 1, "AuditFailure": 1, "BarrierViolation": 1, "InvalidParams": 1,
+    "NuOutOfRange": 1, "EmptyGrid": 1, "NegativeDividend": 1,
+    "NoContraction": 2, "PicardDivergence": 2, "DensityNotPositive": 2, "TooLarge": 2,
+    "UnknownNode": 2, "MismatchedInstances": 2, "PreconditionViolated": 2,
+}
+
+
+def test_exit_code_per_error_type():
+    types = {name: cls for name, cls in vars(errors).items()
+             if isinstance(cls, type) and issubclass(cls, errors.GameHedgeError)
+             and cls is not errors.GameHedgeError}
+    assert {name: cls.exit_code for name, cls in types.items()} == EXIT_CODES
 
 
 def test_cli_parse_and_solver_exit_codes(tmp_path, capsys):
@@ -243,6 +287,12 @@ def test_cli_parse_and_solver_exit_codes(tmp_path, capsys):
 
     missing = str(tmp_path / "nope.json")
     assert main(["price", "--scenario", missing, "--out", str(tmp_path)]) == 1
+
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"lattice": "\xff"}')
+    assert main(["price", "--scenario", str(latin), "--out", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ScenarioError" and err["message"].startswith("scenario is not UTF-8")
 
     path = write_scenario(tmp_path, scenario_dict())  # 6 steps > oracle cap 4
     assert main(["oracle", "--scenario", path, "--out", str(tmp_path)]) == 2
@@ -332,6 +382,19 @@ def test_cli_verify_passes(tmp_path):
             "push_only_on_contact"} <= names
     assert all(c["ok"] for c in report["checks"])
     assert all(a["ok"] for a in report["audits"])
+
+
+def test_cli_verify_zero_generator_without_default(tmp_path):
+    """r = mu1 = lambda_bar = 0 gives the generator constant 0; the
+    stability estimate still applies rather than refusing the scenario."""
+    data = scenario_dict(market={"r": 0.0, "mu1": 0.0, "sigma1": 0.5, "mu2": 0.0,
+                                 "sigma2": 0.25, "lambda_bar": 0.0, "s1_0": 1.0,
+                                 "s2_0": 1.0})
+    path = write_scenario(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["verify", "--scenario", path, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["apriori"]["applies"] and report["ok"]
 
 
 def test_cli_robust_determinism(tmp_path):
