@@ -16,6 +16,12 @@ byte-identical files.
 Every solve is one backward sweep (`bsde.backward_sweep`); `robust`
 solves all grid models in one sweep, a column per model on a trailing
 batch axis, each column's Picard iteration converging on its own.
+Every certificate is one forward wealth sweep (`hedging.simulate_wealth`)
+reported under the same keys: `hedge` writes them at the top level of
+report.json, `robust` under "certificate".  On an ambiguity scenario both
+step the wealth under the family's envelope, which certifies the hedge
+against every adapted control, one that switches model along the path
+included.
 
 Files written to --out (default '.'): report.json always; price.csv for
 price; strategy.csv and stopping.csv for hedge; alphas.csv and
@@ -98,6 +104,19 @@ def _cmd_price(ns, built: BuiltScenario) -> int:
     return 0
 
 
+def _certificate_payload(rep) -> dict:
+    """The report.json keys of one super-hedge certificate."""
+    return {
+        "n_paths": int(rep.n_paths),
+        "violations": int(rep.violations),
+        "min_slack_xi": rep.worst_xi_slack,
+        "stop_slack": rep.worst_stop_slack,
+        "min_slack_reference": rep.worst_ref_slack,
+        "tolerance": float(rep.tol),
+        "ok": bool(rep.ok),
+    }
+
+
 def _cmd_hedge(ns, built: BuiltScenario) -> int:
     if ns.x0_override is not None and not math.isfinite(ns.x0_override):
         raise InvalidParams(f"--x0-override must be finite, got {ns.x0_override!r}")
@@ -127,13 +146,7 @@ def _cmd_hedge(ns, built: BuiltScenario) -> int:
         "x0": x0,
         "rule": rule_kind,
         "epsilon": None if ns.epsilon is None else float(ns.epsilon),
-        "n_paths": int(rep.n_paths),
-        "violations": int(rep.violations),
-        "min_slack_xi": rep.worst_xi_slack,
-        "stop_slack": rep.worst_stop_slack,
-        "min_slack_reference": rep.worst_ref_slack,
-        "tolerance": float(rep.tol),
-        "ok": bool(rep.ok),
+        **_certificate_payload(rep),
     }
     _write_json(os.path.join(ns.out, "report.json"), report)
     print(f"x0 {_fmt(x0)}  paths {rep.n_paths}  violations {rep.violations}")
@@ -145,8 +158,8 @@ def _cmd_robust(ns, built: BuiltScenario) -> int:
         raise ScenarioError("robust needs an ambiguity driver")
     lattice, fam, p = built.lattice, built.family, built.payoff
     result = robust_seller_price(lattice, fam, p, audit=False)
-    certs = robust_certificate(lattice, fam, p, result,
-                               tol=float(built.options["tolerance"]))
+    cert = _certificate_payload(robust_certificate(
+        lattice, fam, p, result, tol=float(built.options["tolerance"])))
     _write_csv(os.path.join(ns.out, "alphas.csv"),
                ["index", "alpha", "price"],
                (f"{i},{_fmt(a)},{_fmt(v)}\n" for i, (a, v) in
@@ -156,14 +169,6 @@ def _cmd_robust(ns, built: BuiltScenario) -> int:
                ["step", "j", "default_status", "alpha_index", "alpha"],
                _node_rows(lattice, [result.worst_alpha],
                           lambda v: f"{v},{alpha_txt[v]}"))
-    cert_rows = [{
-        "alpha": float(a),
-        "violations": int(r.violations),
-        "min_slack_xi": r.worst_xi_slack,
-        "stop_slack": r.worst_stop_slack,
-        "ok": bool(r.ok),
-    } for a, r in zip(fam.u_grid, certs)]
-    all_ok = all(row["ok"] for row in cert_rows)
     report = {
         "command": "robust",
         "v0_via_G": float(result.v0_via_G),
@@ -171,14 +176,14 @@ def _cmd_robust(ns, built: BuiltScenario) -> int:
         "frozen_value": float(result.frozen_value),
         "argmax_ties": int(result.ties),
         "per_alpha": [float(v) for v in result.per_alpha],
-        "certificates": cert_rows,
-        "ok": all_ok,
+        "certificate": cert,
+        "ok": cert["ok"],
     }
     _write_json(os.path.join(ns.out, "report.json"), report)
     print(f"robust price {_fmt(result.v0_via_G)}  "
-          f"grid max {_fmt(result.v0_via_grid)}  certificates "
-          f"{'ok' if all_ok else 'VIOLATED'}")
-    return 0 if all_ok else 3
+          f"grid max {_fmt(result.v0_via_grid)}  certificate "
+          f"{'ok' if cert['ok'] else 'VIOLATED'}")
+    return 0 if cert["ok"] else 3
 
 
 def _audit_payload(rep) -> dict:

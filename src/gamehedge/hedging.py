@@ -5,7 +5,9 @@ phi1 = (Z + sigma2 K) / sigma1, and the forward wealth step applies the
 generator at the current wealth, which is exactly the inverse of the
 backward solver's implicit step.  Dominance of wealth over the value
 surface therefore holds path by path up to the solver's fixed-point
-residual, and the certification below asserts it at 1e-12.
+residual, and the certification below asserts it up to `tol`: every
+slack must be >= -tol.  The CLI passes the scenario's `options.tolerance`
+(default 1e-12).
 
 Stopping rules are node-indexed stop flags: a path stops at the first
 flagged node it reaches, and terminal nodes are always flagged.  The

@@ -8,6 +8,12 @@ duality identity this module certifies.  The argmax is taken at the
 pre-projection continuation, the exact point where the envelope was
 evaluated inside the backward recursion, so the frozen re-solve retraces
 the same fixed points wherever the projection is inactive.
+
+The hedge read off the envelope solve is certified once, under the
+envelope driver: a model is any adapted control, and the envelope's
+wealth step is the least step over every control the grid offers at a
+node, so one sweep covers all of them.  This is the certificate `hedge`
+computes on an ambiguity scenario.
 """
 
 from __future__ import annotations
@@ -27,14 +33,7 @@ from .drbsde import (
 )
 from .drivers import AmbiguityFamily, Driver, audit_family
 from .errors import NuOutOfRange, TooLarge
-from .hedging import (
-    StoppingRule,
-    Strategy,
-    WealthReport,
-    extract_strategy,
-    simulate_wealth,
-    stopping_time,
-)
+from .hedging import WealthReport, extract_strategy, simulate_wealth, stopping_time
 from .lattice import Lattice, NodeField
 
 TOL_ROBUST = 1e-10
@@ -50,9 +49,7 @@ class RobustResult:
     worst_alpha: NodeField          # argmax grid indices per node
     frozen_value: float             # re-solve under the frozen control
     ties: int                       # nodes where the argmax is not unique
-    strategy: Strategy
-    rule: StoppingRule
-    solution: DrbsdeSolution
+    solution: DrbsdeSolution        # the envelope solve the hedge is read off
 
 
 def frozen_control_driver(fam: AmbiguityFamily, worst_alpha: NodeField,
@@ -75,8 +72,8 @@ def robust_seller_price(lattice: Lattice, fam: AmbiguityFamily, p: PayoffSpec, *
 
     Returns the envelope price v0_via_G, the grid maximum v0_via_grid,
     the per-node worst-case control with its re-solved value, and the
-    super-hedge (strategy, cancellation rule) carried by the envelope
-    solution.  Ties in the argmax are counted, not hidden: a nonzero tie
+    envelope solution, from which `robust_certificate` reads the hedge.
+    Ties in the argmax are counted, not hidden: a nonzero tie
     count means the frozen control was disambiguated by lowest grid index.
     The per-model prices come from one batched sweep, one column per grid
     model, each column equal to that model's own reflected solve.
@@ -121,30 +118,25 @@ def robust_seller_price(lattice: Lattice, fam: AmbiguityFamily, p: PayoffSpec, *
         worst_alpha=worst,
         frozen_value=fsol.y0,
         ties=ties,
-        strategy=extract_strategy(gsol, lattice.mp),
-        rule=stopping_time(gsol, p, "sigma_star"),
         solution=gsol,
     )
 
 
 def robust_certificate(lattice: Lattice, fam: AmbiguityFamily, p: PayoffSpec,
-                       result: RobustResult | None = None, *,
-                       eps: float | None = None,
-                       tol: float = 1e-12) -> list[WealthReport]:
-    """Simulate the envelope hedge under every model in the grid.
+                       result: RobustResult, *, tol: float = 1e-12) -> WealthReport:
+    """Certify the envelope hedge against every adapted control in one sweep.
 
     The wealth starts at the robust price, plays the envelope strategy,
-    and stops by the envelope's cancellation rule (or its eps-variant);
-    each grid model must show zero pathwise violations.
+    stops by the envelope's cancellation rule sigma*, and steps under the
+    envelope driver.  Its step is never above any member's, so each node's
+    least wealth is at or below the least wealth of every control that
+    switches model along the path, a constant control included.
     """
-    if result is None:
-        result = robust_seller_price(lattice, fam, p)
-    rule = result.rule
-    if eps is not None:
-        rule = stopping_time(result.solution, p, "sigma_eps", eps=eps)
-    return [simulate_wealth(result.v0_via_G, result.strategy, fam.member(i),
-                            lattice, rule, tol=tol, reference=result.solution.y)
-            for i in range(len(fam))]
+    sol = result.solution
+    return simulate_wealth(result.v0_via_G, extract_strategy(sol, lattice.mp),
+                           fam.sup_driver(), lattice,
+                           stopping_time(sol, p, "sigma_star"), tol=tol,
+                           reference=sol.y)
 
 
 @dataclass

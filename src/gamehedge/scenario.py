@@ -287,10 +287,9 @@ class Scenario:
         _check_keys(pay, "payoff", ("xi", "zeta"))
         parse_payoff_expression(pay["xi"])
         parse_payoff_expression(pay["zeta"])
-        opts = dict(raw.get("options", {}))
+        opts = raw.get("options", {})
         _check_keys(opts, "options", (), tuple(_OPTION_DEFAULTS))
-        for key, dflt in _OPTION_DEFAULTS.items():
-            opts.setdefault(key, dflt)
+        opts = {**_OPTION_DEFAULTS, **opts}
         if not (_is_num(opts["tolerance"]) and opts["tolerance"] > 0):
             raise ScenarioError("options.tolerance must be a positive finite number")
         data = {"lattice": lat, "market": mkt, "driver": raw["driver"],

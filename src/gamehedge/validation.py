@@ -72,9 +72,14 @@ def _same_field(a: NodeField, b: NodeField) -> bool:
 
 
 def _accumulate(lattice: Lattice, inc: NodeField) -> NodeField:
-    """R_k = inc_k + E[R_{k+1} | node], exact backward accumulation."""
+    """R_k = inc_k + E[R_{k+1} | node], exact backward accumulation.
+
+    Layers may carry trailing axes; the regression is elementwise, so each
+    column accumulates exactly as it would alone.
+    """
     n = lattice.n_steps
-    acc = NodeField.zeros(lattice)
+    acc = NodeField([np.zeros_like(a) for a in inc.alive],
+                    [np.zeros_like(d) for d in inc.defaulted])
     for k in reversed(range(n)):
         m_a, _, _, m_d, _ = lattice.layer_regression(k, acc.alive[k + 1],
                                                      acc.defaulted[k + 1])
@@ -136,9 +141,9 @@ def apriori_check(sol1: DrbsdeSolution, sol2: DrbsdeSolution,
     dt = lattice.dt
     eta, beta = ep.eta, ep.beta
 
-    f_inc = NodeField.zeros(lattice)
-    y_inc = NodeField.zeros(lattice)
-    zk_inc = NodeField.zeros(lattice)
+    # per node, the (f, y, zk) increments on a trailing axis, accumulated at once
+    inc = NodeField([np.zeros((k + 1, 3)) for k in range(n + 1)],
+                    [np.zeros((lattice.defaulted_size(k), 3)) for k in range(n + 1)])
     for k in range(n):
         w = np.exp(beta * lattice.t(k))
         for defaulted in (False, True):
@@ -153,19 +158,13 @@ def apriori_check(sol1: DrbsdeSolution, sol2: DrbsdeSolution,
             zbar = sol1.z.layer(k, defaulted) - z2
             kbar = sol1.k.layer(k, defaulted) - k2
             lam = 0.0 if defaulted else float(lattice.lam[k])
-            inc_f = w * fbar * fbar * dt
-            inc_y = w * ybar * ybar * dt
-            inc_zk = w * (zbar * zbar + lam * kbar * kbar) * dt
-            if defaulted:
-                f_inc.defaulted[k] = inc_f
-                y_inc.defaulted[k] = inc_y
-                zk_inc.defaulted[k] = inc_zk
-            else:
-                f_inc.alive[k] = inc_f
-                y_inc.alive[k] = inc_y
-                zk_inc.alive[k] = inc_zk
+            out = inc.layer(k, defaulted)
+            out[:, 0] = w * fbar * fbar * dt
+            out[:, 1] = w * ybar * ybar * dt
+            out[:, 2] = w * (zbar * zbar + lam * kbar * kbar) * dt
 
-    r = _accumulate(lattice, f_inc)
+    acc = _accumulate(lattice, inc)
+    norm_f_sq, norm_y_sq, zk_root = (float(v) for v in acc.alive[0][0])
 
     max_violation = -np.inf
     scale = 0.0
@@ -177,7 +176,7 @@ def apriori_check(sol1: DrbsdeSolution, sol2: DrbsdeSolution,
                 continue
             ybar = sol1.y.layer(k, defaulted) - y2
             lhs = w * ybar * ybar
-            rhs = eta * r.layer(k, defaulted)
+            rhs = eta * acc.layer(k, defaulted)[:, 0]
             gap = lhs - rhs
             if gap.size:
                 max_violation = max(max_violation, float(np.max(gap)))
@@ -185,14 +184,12 @@ def apriori_check(sol1: DrbsdeSolution, sol2: DrbsdeSolution,
     tol = _REL_SLACK * (1.0 + scale)
     nodewise_ok = max_violation <= tol
 
-    norm_f_sq = r.root
-    norm_y_sq = _accumulate(lattice, y_inc).root
     horizon = lattice.lp.horizon
     norm_y_ok = norm_y_sq <= horizon * eta * norm_f_sq + tol
 
     c = ep.lambda_constant
     if c > 0.0 and eta * c * c < 1.0 - 1e-9:
-        zk_norm_sq = _accumulate(lattice, zk_inc).root
+        zk_norm_sq = zk_root
         zk_bound = eta / (1.0 - eta * c * c) * norm_f_sq
         zk_ok = zk_norm_sq <= zk_bound + tol
     else:

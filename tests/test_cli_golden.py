@@ -7,6 +7,7 @@ change, run this file as a script (with `src` on PYTHONPATH) and paste its
 output over GOLDEN.
 """
 
+import copy
 import hashlib
 import json
 
@@ -95,7 +96,7 @@ GOLDEN = {
     }),
     'ambiguity_tax robust': (0, {
         'alphas.csv': 'd25b7f6bc098a659425fe38f1387eb84350bd4ffb5f40a1043b3a8fabbba254f',
-        'report.json': '8ee9a8e52d938883a18710d0938f2ab59a137dd49453e7e10d0bc3a992983d09',
+        'report.json': '9b07be2b2eda8d305b58f4b7de7646a256ca37662b35d6e735aac8ec840c6e94',
         'worst_alpha.csv': 'dec2c8dfd95ecf805dd95daf19851d2a39b5799c1a6678208744b80ad4fbac71',
     }),
     'ambiguity_tax oracle': (0, {
@@ -126,6 +127,26 @@ def test_cli_output_bytes_match_golden(tmp_path, name, argv):
     # every input here is finite, so no report may hold NaN or Infinity
     (report,) = tmp_path.glob("*/out/report.json")
     json.loads(report.read_text(encoding="utf-8"), parse_constant=refuse_constant)
+
+
+@pytest.mark.parametrize("band", ["0.03", "0.1"])
+def test_robust_and_hedge_write_one_certificate(tmp_path, band):
+    # on an ambiguity scenario both commands certify the envelope hedge; the
+    # golden band puts the root on zeta, so sigma* stops at once, and the
+    # wider one puts it strictly inside, where the grid models disagree
+    data = copy.deepcopy(SCENARIOS["ambiguity_tax"])
+    data["payoff"]["zeta"] = f"pos(1.0 - S1) + {band}"
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(data), encoding="utf-8")
+    reports = {}
+    for cmd in ("hedge", "robust"):
+        out = tmp_path / cmd
+        assert main([cmd, "--scenario", str(scenario), "--out", str(out)]) == 0
+        reports[cmd] = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    keys = ("n_paths", "violations", "min_slack_xi", "stop_slack",
+            "min_slack_reference", "tolerance", "ok")
+    assert reports["robust"]["certificate"] == {k: reports["hedge"][k] for k in keys}
+    assert reports["robust"]["ok"] is reports["robust"]["certificate"]["ok"]
 
 
 def refuse_constant(constant):

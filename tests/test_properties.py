@@ -1,7 +1,8 @@
 """Hypothesis properties of the reflected solve and of the CLI boundary.
 
 Solve: Y stays in [xi, zeta] at every node, the reflecting increments are
-exactly complementary, and the seller's price is at least the buyer's.
+exactly complementary, the seller's price is at least the buyer's, and Y
+does not fall when the barriers or the driver are raised.
 Boundary: a scenario's canonical text re-parses to the same bytes, every
 malformed flag or scenario makes `main` return 1 with one JSON object on
 stderr, and no report written from finite inputs holds NaN or Infinity.
@@ -18,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamehedge import Scenario, solve_drbsde
+from gamehedge import PayoffSpec, Scenario, solve_drbsde
 from gamehedge.cli import main
 from instances import random_instance, skorokhod_exact
 
@@ -56,6 +57,41 @@ def test_seller_price_is_at_least_buyer_price(seed):
     inst, sol = solved(seed)
     mirrored = solve_drbsde(inst.lattice, inst.driver, inst.payoff.reflected(inst.lattice))
     assert sol.y0 >= -mirrored.y0 - SELLER_BUYER_TOL
+
+
+# verify's comparison bound: Y' - Y >= -1e-12 (1 + max(|xi0|, |zeta0|, |y0|))
+MONOTONE_TOL = 1e-12
+
+
+def node_raise(rng):
+    """A nonnegative amount per node, varying with (t, s1, defaulted)."""
+    amp, freq, phase = rng.uniform(0.0, 0.3), rng.uniform(0.5, 8.0), rng.uniform(0.0, 6.3)
+    return lambda t, s1, defaulted: amp * (1.0 + np.sin(freq * s1 + 3.0 * t + phase * defaulted))
+
+
+@settings(max_examples=50)
+@given(seed=seeds)
+def test_value_is_monotone_in_barriers_and_driver(seed):
+    inst, sol = solved(seed)
+    rng = np.random.default_rng([seed, 1])  # a stream apart from the instance's
+    p, raise_xi, extra, mix = inst.payoff, node_raise(rng), node_raise(rng), rng.uniform(0.0, 0.9)
+
+    def zeta_raise(t, s1, dflt):
+        # may stay below xi's raise by up to 0.9 of the band, so xi <= zeta still holds
+        gap = p.zeta(t, s1, dflt) - p.xi(t, s1, dflt)
+        return np.maximum(raise_xi(t, s1, dflt) - mix * gap, 0.0) + extra(t, s1, dflt)
+
+    raised = PayoffSpec(xi=lambda t, s1, dflt: p.xi(t, s1, dflt) + raise_xi(t, s1, dflt),
+                        zeta=lambda t, s1, dflt: p.zeta(t, s1, dflt) + zeta_raise(t, s1, dflt))
+    amp, freq = rng.uniform(0.0, 0.5), rng.uniform(0.5, 8.0)
+    shifted = inst.driver.shifted(lambda ctx: amp * (1.0 + np.sin(freq * ctx.s1 + ctx.t)))
+    scale = 1.0 + max(abs(sol.xi.root), abs(sol.zeta.root), abs(sol.y0))
+    for other in (solve_drbsde(inst.lattice, inst.driver, raised),
+                  solve_drbsde(inst.lattice, shifted, p)):
+        for k in range(inst.lattice.n_steps + 1):
+            for dflt in (False, True):
+                gap = other.y.layer(k, dflt) - sol.y.layer(k, dflt)
+                assert np.all(gap >= -MONOTONE_TOL * scale)
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import adapted_oracle
 import numpy as np
 import pytest
 
@@ -11,15 +12,20 @@ from gamehedge import (
     TooLarge,
     buyer_superhedge,
     build_lattice,
+    comparison_region_ok,
     default_ambiguity_family,
     dynkin_bruteforce,
+    extract_strategy,
     interchange_check,
     make_builtin_driver,
     robust_buyer_price,
     robust_certificate,
     robust_seller_price,
+    simulate_wealth,
     solve_drbsde,
+    stopping_time,
 )
+from instances import random_instance
 
 
 def make_market(r=0.01, mu1=0.04, sigma1=0.3, mu2=0.1, sigma2=0.2,
@@ -154,11 +160,69 @@ def test_robust_certificate_under_every_model():
     fam = tilt_family(lattice, mp, [-0.25, 0.0, 0.35])
     p = band_spec(strike=0.95, gap=0.04)
     res = robust_seller_price(lattice, fam, p)
-    for rep in robust_certificate(lattice, fam, p, res):
-        assert rep.violations == 0
-        assert rep.worst_ref_slack >= -1e-12
-    for rep in robust_certificate(lattice, fam, p, res, eps=0.05):
-        assert rep.violations == 0
+    rep = robust_certificate(lattice, fam, p, res)
+    assert rep.violations == 0
+    assert rep.worst_ref_slack >= -1e-12
+    rule = stopping_time(res.solution, p, "sigma_eps", eps=0.05)
+    rep = simulate_wealth(res.v0_via_G, extract_strategy(res.solution, lattice.mp),
+                          fam.sup_driver(), lattice, rule, reference=res.solution.y)
+    assert rep.violations == 0
+
+
+def adapted_instances(n, n_alpha, seed):
+    """Audited (lattice, family, payoff, robust result) inside the comparison region."""
+    rng = np.random.default_rng(seed)
+    while True:
+        inst = random_instance(rng, n_lo=n, n_hi=n)
+        grid = sorted(float(a) for a in rng.uniform(-0.5, 0.6, size=n_alpha))
+        fam = default_ambiguity_family(inst.driver, lambda t, a: a, grid, inst.lattice)
+        if not comparison_region_ok(inst.lattice, fam.lambda_constant):
+            continue
+        try:
+            res = robust_seller_price(inst.lattice, fam, inst.payoff)
+        except AuditFailure:
+            continue  # a tilt can push a member past jump monotonicity
+        yield inst.lattice, fam, inst.payoff, res
+
+
+def slacks(rep):
+    return rep.worst_xi_slack, rep.worst_stop_slack, rep.worst_ref_slack
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_alpha", [2, 3])
+def test_envelope_sweep_equals_every_adapted_control(n, n_alpha):
+    # one envelope sweep against enumerating every path and control sequence
+    instances = adapted_instances(n, n_alpha, seed=100 * n + n_alpha)
+    for _ in range(2):
+        lattice, fam, p, res = next(instances)
+        sol = res.solution
+        strat = extract_strategy(sol, lattice.mp)
+        star = stopping_time(sol, p, "sigma_star")
+        assert slacks(robust_certificate(lattice, fam, p, res)) == \
+            adapted_oracle.worst_slacks(res.v0_via_G, strat, fam, lattice, star, sol.y)
+        for rule in (star, stopping_time(sol, p, "sigma_eps", eps=0.05)):
+            for deficit in (0.0, 1e-9, 0.01):
+                x0 = res.v0_via_G - deficit
+                rep = simulate_wealth(x0, strat, fam.sup_driver(), lattice, rule,
+                                      reference=sol.y)
+                assert slacks(rep) == adapted_oracle.worst_slacks(x0, strat, fam, lattice,
+                                                                  rule, sol.y)
+
+
+def test_envelope_wealth_is_below_every_member():
+    for n in (2, 3, 4):
+        lattice, fam, p, res = next(adapted_instances(n, 3, seed=7 + n))
+        env = robust_certificate(lattice, fam, p, res)
+        strat = extract_strategy(res.solution, lattice.mp)
+        rule = stopping_time(res.solution, p, "sigma_star")
+        for d in fam.members():
+            mem = simulate_wealth(res.v0_via_G, strat, d, lattice, rule)
+            for k in range(n + 1):
+                for dflt in (False, True):
+                    e = env.min_wealth.layer(k, dflt)
+                    reached = e < np.inf
+                    assert np.all(mem.min_wealth.layer(k, dflt)[reached] >= e[reached])
 
 
 def test_interchange_singleton_and_degenerate():

@@ -99,6 +99,13 @@ def test_scenario_rejections():
         scenario_dict(payoff={"xi": "S1 / 2", "zeta": "S1"}),
         scenario_dict(options={"epsilon": -1.0}),
         scenario_dict(options={"bogus": 1}),
+        # options must be an object: none of these may slip past as a dict
+        scenario_dict(options=[1, 2]),
+        scenario_dict(options="x"),
+        scenario_dict(options=3),
+        scenario_dict(options=None),
+        scenario_dict(options=[["tolerance", 1e-9]]),
+        scenario_dict(options=[]),
         scenario_dict(market={"r": 0.0}),
     ]
     for data in cases:
@@ -414,7 +421,8 @@ def test_cli_robust_determinism(tmp_path):
     report = json.loads(outputs["a"]["report.json"].decode())
     assert report["v0_via_G"] >= report["v0_via_grid"] - 1e-10
     assert abs(report["v0_via_G"] - report["frozen_value"]) < 1e-10
-    assert all(c["ok"] for c in report["certificates"])
+    assert report["certificate"]["violations"] == 0
+    assert report["ok"] is report["certificate"]["ok"] is True
 
 
 def test_cli_byte_determinism(tmp_path):
