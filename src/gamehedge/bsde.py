@@ -103,8 +103,8 @@ def terminal_layers(lattice: Lattice, terminal, step: int | None = None):
     n = lattice.n_steps if step is None else step
     na, nd = lattice.alive_size(n), lattice.defaulted_size(n)
     if isinstance(terminal, NodeField):
-        a = np.asarray(terminal.alive[n], dtype=float).copy()
-        dv = np.asarray(terminal.defaulted[n], dtype=float).copy()
+        a = np.asarray(terminal.layer(n, False), dtype=float).copy()
+        dv = np.asarray(terminal.layer(n, True), dtype=float).copy()
     elif callable(terminal):
         t = lattice.t(n)
         a = np.asarray(terminal(t, lattice.s1_alive[n], False), dtype=float) + np.zeros(na)

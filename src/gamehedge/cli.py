@@ -39,7 +39,7 @@ import sys
 
 import numpy as np
 
-from .drbsde import dynkin_bruteforce, solve_drbsde
+from .drbsde import dynkin_bruteforce, reflected_sweep, solve_drbsde
 from .errors import GameHedgeError, InvalidParams, ScenarioError
 from .hedging import extract_strategy, simulate_wealth, stopping_time
 from .robust import robust_certificate, robust_seller_price
@@ -197,12 +197,19 @@ def _audit_payload(rep) -> dict:
     }
 
 
-def _node_min(lattice, f, g=None) -> float:
-    """Smallest value of f, or of f - g, over all nodes, in node order."""
-    return min(float(np.min(f.layer(k, dflt) if g is None
-                            else f.layer(k, dflt) - g.layer(k, dflt)))
+def _node_min(lattice, f) -> float:
+    """Smallest value of f over all nodes, in node order."""
+    return min(float(np.min(f.layer(k, dflt)))
                for k in range(lattice.n_steps + 1) for dflt in (False, True)
                if f.layer(k, dflt).size)
+
+
+def _sweep_min_gap(sweep, y) -> float:
+    """Smallest y' - y over all nodes, y' streamed by a reflected sweep: one
+    float per layer, reduced in node order as `_node_min` reduces."""
+    mins = {(step, dflt): float(np.min(y_new - y.layer(step, dflt)))
+            for step, dflt, _, y_new, *_ in sweep}
+    return min(mins[key] for key in sorted(mins))
 
 
 def _cmd_verify(ns, built: BuiltScenario) -> int:
@@ -240,16 +247,16 @@ def _cmd_verify(ns, built: BuiltScenario) -> int:
         "shift": {"amplitude": amp, "frequency": freq, "offset": off},
     }
 
-    # comparison properties around the base solve
-    up = solve_drbsde(lattice, d.shifted(lambda ctx: 0.1), p)
-    worst = _node_min(lattice, up.y, sol.y)
+    # comparison properties around the base solve, streamed: only the
+    # per-layer minima of the gap are kept
+    worst = _sweep_min_gap(reflected_sweep(lattice, d.shifted(lambda ctx: 0.1),
+                                           sol.xi, sol.zeta), sol.y)
     check("driver_monotonicity", worst >= -tol * scale, worst)
 
     bump = 0.05
     pb = type(p)(xi=lambda t, s, dflt: p.xi(t, s, dflt) + bump,
                  zeta=lambda t, s, dflt: p.zeta(t, s, dflt) + bump)
-    upb = solve_drbsde(lattice, d, pb)
-    worst_b = _node_min(lattice, upb.y, sol.y)
+    worst_b = _sweep_min_gap(reflected_sweep(lattice, d, *pb.layers(lattice)), sol.y)
     check("barrier_monotonicity", worst_b >= -tol * scale, worst_b)
 
     check("root_between_barriers",
@@ -358,6 +365,8 @@ def _arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         ns = _arg_parser().parse_args(argv)
+        if ns.command == "verify" and ns.seed < 0:
+            raise InvalidParams(f"--seed must be >= 0, got {ns.seed}")
         built = Scenario.from_file(ns.scenario).build()
         os.makedirs(ns.out, exist_ok=True)
         return _COMMANDS[ns.command](ns, built)

@@ -6,6 +6,12 @@ are the reflecting increments, so the complementarity structure
 (increments act only on contact, never both at once) holds exactly, by
 construction rather than up to a tolerance.
 
+A solution stores what the sweep computes, the continuation c and the
+integrands z and k.  The value y = clip(c, xi, zeta) and the increments
+are derived per layer on read by the same expressions, so they are the
+same bits the sweep produced, and a caller that needs only a root or a
+per-layer summary consumes `reflected_sweep` without storing any field.
+
 The brute-force oracle enumerates every adapted stopping rule on a small
 tree and values all rule pairs in one vectorized backward sweep; its
 max-min and min-max must both match the reflected solve at the root.
@@ -22,7 +28,7 @@ import numpy as np
 from .bsde import backward_sweep, implicit_continuation, node_fields, require_contraction
 from .drivers import Driver
 from .errors import BarrierViolation, NegativeDividend, TooLarge, UnknownNode
-from .lattice import Lattice, Node, NodeField
+from .lattice import DerivedField, Lattice, Node, NodeField
 
 # Bounds of the brute-force oracle: at most 500 stopping rules, so at most
 # 250,000 rule pairs.  Every lattice of 5 or more steps has more than 500
@@ -50,14 +56,9 @@ def _checked(xi: NodeField, zeta: NodeField) -> tuple[NodeField, NodeField]:
                     if np.isfinite(x) and np.isfinite(z)
                     else f"non-finite barrier {at}: xi {x:.6g}, zeta {z:.6g}",
                     node=Node(k, j, defaulted))
-    return _frozen(xi, zeta)
-
-
-def _frozen(*fields: NodeField) -> tuple[NodeField, ...]:
-    for f in fields:
-        for a in f.alive + f.defaulted:
-            a.flags.writeable = False
-    return fields
+    for a in xi.alive + xi.defaulted + zeta.alive + zeta.defaulted:
+        a.flags.writeable = False
+    return xi, zeta
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,9 @@ class PayoffSpec:
     agree on at expiry.  Layers must be finite with xi <= zeta, or
     BarrierViolation names the node.  A spec may carry checked read-only
     layers instead (from layers(), reflected() or from_layers()); layers()
-    then returns them as they are, never copied.
+    then returns them as they are, never copied.  The layers of a
+    reflected spec are derived views of the original's, negated per layer
+    on read.
     """
 
     xi: Callable | None = None
@@ -90,26 +93,54 @@ class PayoffSpec:
                         NodeField.from_function(lattice, self.zeta))
 
     def reflected(self, lattice: Lattice) -> "PayoffSpec":
-        """Barriers (-zeta, -xi): the buyer's problem as seen by a seller."""
-        neg_zeta, neg_xi = _frozen(*(NodeField([-a for a in f.alive], [-d for d in f.defaulted])
-                                     for f in reversed(self.layers(lattice))))
-        return PayoffSpec(xi_layers=neg_zeta, zeta_layers=neg_xi)
+        """Barriers (-zeta, -xi): the buyer's problem as seen by a seller.
+
+        The layers are negated on read, never stored; negation is exact,
+        so they hold the bits a negated copy would.
+        """
+        def negated(f: NodeField) -> DerivedField:
+            return DerivedField(lattice.n_steps, lambda k, dflt: -f.layer(k, dflt))
+
+        xi, zeta = self.layers(lattice)
+        return PayoffSpec(xi_layers=negated(zeta), zeta_layers=negated(xi))
 
 
 @dataclass
 class DrbsdeSolution:
-    """Value, integrands, and reflecting increments of one reflected solve."""
+    """Continuation, integrands and barriers of one reflected solve.
+
+    Stored: the continuation c, z and k, plus the spec's read-only barrier
+    layers xi and zeta (shared, never copied).  Derived per layer on read,
+    read-only: the value y = clip(c, xi, zeta) and the reflecting
+    increments dA = (xi - c) on {c < xi} and dA' = (c - zeta) on
+    {c > zeta}.  At the terminal layer c = xi = zeta, so y = xi and
+    dA = dA' = 0.
+    """
 
     lattice: Lattice
-    y: NodeField
+    continuation: NodeField
     z: NodeField
     k: NodeField
-    da: NodeField
-    dap: NodeField
-    continuation: NodeField
     xi: NodeField
     zeta: NodeField
     iterations: int
+
+    def _derived(self, fn) -> DerivedField:
+        c, lo, hi = self.continuation, self.xi, self.zeta
+        return DerivedField(self.lattice.n_steps, lambda k, dflt: fn(
+            c.layer(k, dflt), lo.layer(k, dflt), hi.layer(k, dflt)))
+
+    @property
+    def y(self) -> DerivedField:
+        return self._derived(np.clip)
+
+    @property
+    def da(self) -> DerivedField:
+        return self._derived(lambda c, lo, hi: np.where(c < lo, lo - c, 0.0))
+
+    @property
+    def dap(self) -> DerivedField:
+        return self._derived(lambda c, lo, hi: np.where(c > hi, c - hi, 0.0))
 
     @property
     def y0(self) -> float:
@@ -121,11 +152,29 @@ def _checked_dividends(lattice: Lattice, dividends) -> NodeField:
     if not isinstance(dividends, NodeField):
         dividends = NodeField.from_function(lattice, dividends)
     for k in range(lattice.n_steps):
-        for arr in (dividends.alive[k], dividends.defaulted[k]):
+        for arr in (dividends.layer(k, False), dividends.layer(k, True)):
             if not (arr >= 0.0).all():
                 raise NegativeDividend(
                     f"dividend increment {np.min(arr):.6g} is not >= 0 at step {k}")
     return dividends
+
+
+def reflected_sweep(lattice: Lattice, d: Driver, xi: NodeField, zeta: NodeField, *,
+                    dividends: NodeField | None = None):
+    """The reflected solve layer by layer, from the top down.
+
+    Yields (step, defaulted, c, y, z, k, iterations) like
+    `bsde.backward_sweep`, the terminal layer included (c = y = xi there,
+    z = k = 0, no iterations); empty layers are skipped.  The caller has
+    checked the contraction condition and the dividends.
+    """
+    n = lattice.n_steps
+    top = (xi.layer(n, False), xi.layer(n, True))
+    for dflt in (False, True):
+        if top[dflt].size:
+            c = top[dflt].copy()
+            yield n, dflt, c, c, np.zeros_like(c), np.zeros_like(c), 0
+    yield from backward_sweep(lattice, d, top, n, barriers=(xi, zeta), dividends=dividends)
 
 
 def solve_drbsde(lattice: Lattice, d: Driver, p: PayoffSpec, *,
@@ -135,6 +184,7 @@ def solve_drbsde(lattice: Lattice, d: Driver, p: PayoffSpec, *,
     Per layer: continuation c solves c = E[Y'] (+ dividend) + g(t,c,Z,K) dt,
     then Y = clip(c, xi, zeta) and the increments are the exact projection
     residuals dA = (xi-c)^+ on {c < xi}, dA' = (c-zeta)^+ on {c > zeta}.
+    Only c, z and k are stored; see DrbsdeSolution.
     dividends: callable (t, s1, defaulted) -> increment earned over
     [t, t+dt), or a NodeField of increments; NegativeDividend is raised
     unless every increment is >= 0.
@@ -143,20 +193,15 @@ def solve_drbsde(lattice: Lattice, d: Driver, p: PayoffSpec, *,
     if dividends is not None:
         dividends = _checked_dividends(lattice, dividends)
     xi, zeta = p.layers(lattice)
-    n = lattice.n_steps
-    rows = {(n, dflt): (xi.layer(n, dflt).copy(), xi.layer(n, dflt).copy())
-            for dflt in (False, True)}
+    rows = {}
     iters = 0
-    for step, dflt, c, y, z, k, it in backward_sweep(
-            lattice, d, (xi.alive[n], xi.defaulted[n]), n, barriers=(xi, zeta),
-            dividends=dividends):
-        lo, hi = xi.layer(step, dflt), zeta.layer(step, dflt)
-        rows[step, dflt] = (y, c, z, k, np.where(c < lo, lo - c, 0.0),
-                            np.where(c > hi, c - hi, 0.0))
+    for step, dflt, c, _, z, k, it in reflected_sweep(lattice, d, xi, zeta,
+                                                      dividends=dividends):
+        rows[step, dflt] = (c, z, k)
         iters += it
-    y, cont, z, kf, da, dap = node_fields(lattice, rows, 6)
-    return DrbsdeSolution(lattice=lattice, y=y, z=z, k=kf, da=da, dap=dap,
-                          continuation=cont, xi=xi, zeta=zeta, iterations=iters)
+    cont, z, kf = node_fields(lattice, rows, 3)
+    return DrbsdeSolution(lattice=lattice, continuation=cont, z=z, k=kf,
+                          xi=xi, zeta=zeta, iterations=iters)
 
 
 def price_at_node(sol: DrbsdeSolution, node: Node) -> float:
@@ -269,9 +314,9 @@ def stopped_pair_values(lattice: Lattice, d: Driver, p: PayoffSpec,
         zev = zeta.layer(step, defaulted)[:, None]
         return np.where(t_m, xiv, np.where(s_m, zev, c))
 
-    v_alive = np.broadcast_to(xi.alive[n][:, None], (n + 1, nt * ns)).copy()
+    v_alive = np.broadcast_to(xi.layer(n, False)[:, None], (n + 1, nt * ns)).copy()
     nd = lattice.defaulted_size(n)
-    v_dead = np.broadcast_to(xi.defaulted[n][:, None], (nd, nt * ns)).copy()
+    v_dead = np.broadcast_to(xi.layer(n, True)[:, None], (nd, nt * ns)).copy()
 
     for step in reversed(range(n)):
         m_a, z_a, k_a, m_d, z_d = lattice.layer_regression(step, v_alive, v_dead)

@@ -87,21 +87,17 @@ def stopping_time(sol: DrbsdeSolution, p: PayoffSpec, kind: str,
     projection writes the barrier value verbatim), sigma_eps where Y is
     within eps of it, tau_star where Y equals the lower barrier.
     """
-    xi, zeta = p.layers(sol.lattice)
-    y = sol.y
-    if kind == "sigma_star":
-        flags = NodeField([ya == za for ya, za in zip(y.alive, zeta.alive)],
-                          [yd == zd for yd, zd in zip(y.defaulted, zeta.defaulted)])
-    elif kind == "sigma_eps":
-        if eps is None or not 0.0 < eps < np.inf:
-            raise InvalidParams("sigma_eps needs a finite eps > 0")
-        flags = NodeField([ya >= za - eps for ya, za in zip(y.alive, zeta.alive)],
-                          [yd >= zd - eps for yd, zd in zip(y.defaulted, zeta.defaulted)])
-    elif kind == "tau_star":
-        flags = NodeField([ya == xa for ya, xa in zip(y.alive, xi.alive)],
-                          [yd == xd for yd, xd in zip(y.defaulted, xi.defaulted)])
-    else:
+    hits = {"sigma_star": lambda y, lo, hi: y == hi,
+            "sigma_eps": lambda y, lo, hi: y >= hi - eps,
+            "tau_star": lambda y, lo, hi: y == lo}
+    if kind not in hits:
         raise InvalidParams(f"unknown stopping rule kind: {kind!r}")
+    if kind == "sigma_eps" and (eps is None or not 0.0 < eps < np.inf):
+        raise InvalidParams("sigma_eps needs a finite eps > 0")
+    xi, zeta, y = *p.layers(sol.lattice), sol.y
+    # one layer at a time: y is derived on read
+    flags = NodeField(*([hits[kind](y.layer(k, dflt), xi.layer(k, dflt), zeta.layer(k, dflt))
+                         for k in range(sol.lattice.n_steps + 1)] for dflt in (False, True)))
     return StoppingRule(flags=_force_terminal(flags, sol.lattice), kind=kind,
                         eps=eps, xi=xi, zeta=zeta)
 

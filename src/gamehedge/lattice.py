@@ -152,10 +152,36 @@ class NodeField:
 
     @property
     def root(self) -> float:
-        return float(self.alive[0][0])
+        return float(self.layer(0, False)[0])
 
     def copy(self) -> "NodeField":
         return NodeField([a.copy() for a in self.alive], [d.copy() for d in self.defaulted])
+
+
+class DerivedField(NodeField):
+    """A read-only NodeField whose layer (k, defaulted) is fn(k, defaulted),
+    computed on every read and never stored.
+
+    `alive` and `defaulted` build a transient list of every layer; readers
+    that walk the lattice call `layer()` and hold one layer at a time.
+    """
+
+    def __init__(self, n_steps: int, fn):
+        self._n_steps = n_steps
+        self._fn = fn
+
+    def layer(self, k: int, defaulted: bool) -> np.ndarray:
+        a = self._fn(k, defaulted)
+        a.flags.writeable = False
+        return a
+
+    @property
+    def alive(self) -> list[np.ndarray]:
+        return [self.layer(k, False) for k in range(self._n_steps + 1)]
+
+    @property
+    def defaulted(self) -> list[np.ndarray]:
+        return [self.layer(k, True) for k in range(self._n_steps + 1)]
 
 
 @dataclass

@@ -89,7 +89,7 @@ def robust_seller_price(lattice: Lattice, fam: AmbiguityFamily, p: PayoffSpec, *
     models = Driver(lambda ctx, y, z, k: fam.fn(ctx, y, z, k, grid[None, :]),
                     fam.lambda_constant)
     top = tuple(np.repeat(a[:, None], len(grid), axis=1)
-                for a in (xi.alive[n], xi.defaulted[n]))
+                for a in (xi.layer(n, False), xi.layer(n, True)))
     for layer in backward_sweep(lattice, models, top, n, barriers=(xi, zeta)):
         pass  # the last layer yielded is the root
     per_alpha = layer[3][0].copy()

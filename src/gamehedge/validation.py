@@ -72,21 +72,19 @@ def _same_field(a: NodeField, b: NodeField) -> bool:
 
 
 def _accumulate(lattice: Lattice, inc: NodeField) -> NodeField:
-    """R_k = inc_k + E[R_{k+1} | node], exact backward accumulation.
+    """R_n = inc_n and R_k = inc_k + E[R_{k+1} | node], exact backward
+    accumulation, in place: inc is returned holding R.
 
     Layers may carry trailing axes; the regression is elementwise, so each
     column accumulates exactly as it would alone.
     """
-    n = lattice.n_steps
-    acc = NodeField([np.zeros_like(a) for a in inc.alive],
-                    [np.zeros_like(d) for d in inc.defaulted])
-    for k in reversed(range(n)):
-        m_a, _, _, m_d, _ = lattice.layer_regression(k, acc.alive[k + 1],
-                                                     acc.defaulted[k + 1])
-        acc.alive[k] = inc.alive[k] + m_a
+    for k in reversed(range(lattice.n_steps)):
+        m_a, _, _, m_d, _ = lattice.layer_regression(k, inc.alive[k + 1],
+                                                     inc.defaulted[k + 1])
+        inc.alive[k] += m_a
         if m_d.size:
-            acc.defaulted[k] = inc.defaulted[k] + m_d
-    return acc
+            inc.defaulted[k] += m_d
+    return inc
 
 
 @dataclass
@@ -141,7 +139,8 @@ def apriori_check(sol1: DrbsdeSolution, sol2: DrbsdeSolution,
     dt = lattice.dt
     eta, beta = ep.eta, ep.beta
 
-    # per node, the (f, y, zk) increments on a trailing axis, accumulated at once
+    # per node, the (f, y, zk) increments on a trailing axis (zero at the
+    # terminal layer), accumulated at once and in place
     inc = NodeField([np.zeros((k + 1, 3)) for k in range(n + 1)],
                     [np.zeros((lattice.defaulted_size(k), 3)) for k in range(n + 1)])
     for k in range(n):

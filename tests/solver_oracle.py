@@ -4,13 +4,16 @@
 before `gamehedge.bsde.backward_sweep`, kept verbatim: each solve runs
 its own layer loop over preallocated zero fields, and the Picard test is
 one joint max over the whole array.  The corpus tests compare the sweep
-against these bit for bit.
+against these bit for bit.  The reflected reference stores all six node
+fields in its own result type, so the library's derived y, dA and dA'
+are checked against values that were computed and stored, not derived.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from gamehedge import (BsdeSolution, DrbsdeSolution, InvalidParams, NodeField, PayoffSpec,
-                       PicardDivergence)
+from gamehedge import BsdeSolution, InvalidParams, NodeField, PayoffSpec, PicardDivergence
 from gamehedge.bsde import PICARD_MAX_ITER, PICARD_TOL, require_contraction, terminal_layers
 from gamehedge.drivers import Driver
 from gamehedge.lattice import Lattice, StepContext
@@ -82,10 +85,30 @@ def solve_bsde(lattice: Lattice, d: Driver, terminal, *,
     return BsdeSolution(lattice=lattice, y=y, z=z, k=kf, terminal_step=n, iterations=iters)
 
 
+@dataclass
+class ReflectedSolution:
+    """Every node field of one reflected solve, each stored."""
+
+    lattice: Lattice
+    y: NodeField
+    z: NodeField
+    k: NodeField
+    da: NodeField
+    dap: NodeField
+    continuation: NodeField
+    xi: NodeField
+    zeta: NodeField
+    iterations: int
+
+    @property
+    def y0(self) -> float:
+        return self.y.root
+
+
 def solve_drbsde(lattice: Lattice, d: Driver, p: PayoffSpec, *,
                  dividends: NodeField | None = None,
                  picard_tol: float = PICARD_TOL,
-                 max_iter: int = PICARD_MAX_ITER) -> DrbsdeSolution:
+                 max_iter: int = PICARD_MAX_ITER) -> ReflectedSolution:
     """Backward reflected solve.
 
     Per layer: continuation c solves c = E[Y'] (+ dividend) + g(t,c,Z,K) dt,
@@ -135,5 +158,5 @@ def solve_drbsde(lattice: Lattice, d: Driver, p: PayoffSpec, *,
                 cont.alive[step] = c
                 da.alive[step] = np.where(c < lo, lo - c, 0.0)
                 dap.alive[step] = np.where(c > hi, c - hi, 0.0)
-    return DrbsdeSolution(lattice=lattice, y=y, z=z, k=kf, da=da, dap=dap,
-                          continuation=cont, xi=xi, zeta=zeta, iterations=iters)
+    return ReflectedSolution(lattice=lattice, y=y, z=z, k=kf, da=da, dap=dap,
+                             continuation=cont, xi=xi, zeta=zeta, iterations=iters)

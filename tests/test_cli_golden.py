@@ -149,6 +149,28 @@ def test_robust_and_hedge_write_one_certificate(tmp_path, band):
     assert reports["robust"]["ok"] is reports["robust"]["certificate"]["ok"]
 
 
+def test_cli_robust_root_inside_the_band(tmp_path):
+    # the golden ambiguity scenario puts the root on zeta, so sigma* stops at
+    # step 0; a band of 0.1 at 10 steps puts it strictly inside, where the
+    # grid models disagree and the certificate has paths to cover
+    data = copy.deepcopy(SCENARIOS["ambiguity_tax"])
+    data["lattice"]["n_steps"] = 10
+    data["payoff"]["zeta"] = "pos(1.0 - S1) + 0.1"
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(data), encoding="utf-8")
+    reports = {}
+    for cmd in ("price", "robust"):
+        assert main([cmd, "--scenario", str(scenario), "--out", str(tmp_path / cmd)]) == 0
+        reports[cmd] = json.loads((tmp_path / cmd / "report.json").read_text(encoding="utf-8"))
+    price, robust = reports["price"], reports["robust"]
+    v0, per_alpha = robust["v0_via_G"], robust["per_alpha"]
+    assert price["xi_root"] < v0 < price["zeta_root"]
+    assert len(set(per_alpha)) == len(per_alpha) == 3
+    assert v0 >= max(per_alpha)
+    assert robust["certificate"]["ok"] is robust["ok"] is True
+    assert abs(robust["frozen_value"] - v0) <= 1e-10
+
+
 def refuse_constant(constant):
     raise ValueError(f"report holds {constant}")
 

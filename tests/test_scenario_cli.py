@@ -247,6 +247,7 @@ def test_cli_seed_only_on_verify(tmp_path, capsys, command):
     (["price", "--scenario", "{s}", "--bogus"], "unrecognized arguments: --bogus"),
     (["quote", "--scenario", "{s}"], "argument command: invalid choice: 'quote'"),
     (["price"], "the following arguments are required: --scenario"),
+    (["verify", "--scenario", "{s}", "--seed", "-1"], "--seed must be >= 0"),
 ])
 def test_cli_usage_errors_exit_1_with_one_json_line(tmp_path, capsys, argv, message):
     path = write_scenario(tmp_path, scenario_dict())
