@@ -1,4 +1,4 @@
-"""Backward solver for the default-jump BSDE and its linear-model oracle.
+"""Backward solver for the default-jump BSDE.
 
 The backward step is implicit in y and explicit in (z, k): at each layer
 the integrands come from the exact successor regression, then the scalar
@@ -15,28 +15,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .drivers import Driver, theta_coefficients
-from .errors import (
-    DensityNotPositive,
-    InvalidParams,
-    NoContraction,
-    PicardDivergence,
-    TooLarge,
-)
-from .lattice import Lattice, MarketParams, NodeField, StepContext
+from .drivers import Driver
+from .errors import InvalidParams, NoContraction, PicardDivergence
+from .lattice import Lattice, NodeField, StepContext
 
 # Picard stopping rule of every implicit step; no solve takes its own.
 PICARD_TOL = 1e-14
 PICARD_MAX_ITER = 100
-# the deflator oracle sums over every path, up to 3^n of them
-LINEAR_ORACLE_MAX_STEPS = 12
 
 
 def implicit_continuation(ctx: StepContext, d: Driver, base, z, k, dt: float, *,
                           batch: bool = False):
     """Solve y = base + g(ctx, y, z, k) * dt for y; returns (y, iterations).
 
-    base absorbs the successor mean plus any source term (dividends).
+    base is the successor mean.
     Convergence is geometric with ratio <= C * dt; the caller must have
     checked the contraction condition.  Iteration stops once
     max|dy| <= PICARD_TOL * (1 + max|y|); PicardDivergence is raised after
@@ -123,16 +115,15 @@ def terminal_layers(lattice: Lattice, terminal, step: int | None = None):
     return a, dv
 
 
-def backward_sweep(lattice: Lattice, d: Driver, top, n: int, *, barriers=None,
-                   dividends: NodeField | None = None):
+def backward_sweep(lattice: Lattice, d: Driver, top, n: int, *, barriers=None):
     """The backward recursion below step n, from top = (alive, defaulted) values.
 
     Per layer, top to bottom, alive before defaulted (empty layers skipped):
-    regress the successors to (mean, z, k), solve c = mean (+ dividend) +
-    g(t, c, z, k) dt, and set y = c, or clip(c, xi, zeta) with barriers =
-    (xi, zeta).  Yields (step, defaulted, c, y, z, k, iterations).  A 2-D
-    top (nodes x models) is a batch: ctx.s1/s2, barriers and dividends gain
-    a trailing axis and each column converges on its own.
+    regress the successors to (mean, z, k), solve c = mean + g(t, c, z, k) dt,
+    and set y = c, or clip(c, xi, zeta) with barriers = (xi, zeta).  Yields
+    (step, defaulted, c, y, z, k, iterations).  A 2-D top (nodes x models)
+    is a batch: ctx.s1/s2 and the barriers gain a trailing axis and each
+    column converges on its own.
     """
     batch = np.ndim(top[0]) == 2
 
@@ -147,8 +138,6 @@ def backward_sweep(lattice: Lattice, d: Driver, top, n: int, *, barriers=None,
             if base.size == 0:
                 nxt[defaulted] = base
                 continue
-            if dividends is not None:
-                base = base + col(dividends.layer(step, defaulted))
             ctx = lattice.step_context(step, defaulted)
             if batch:
                 ctx = replace(ctx, s1=col(ctx.s1), s2=col(ctx.s2))
@@ -210,73 +199,3 @@ def solve_bsde(lattice: Lattice, d: Driver, terminal, *,
         iters += it
     y, z, kf = node_fields(lattice, rows, 3)
     return BsdeSolution(lattice=lattice, y=y, z=z, k=kf, terminal_step=n, iterations=iters)
-
-
-def buyer_european_price(lattice: Lattice, d: Driver, terminal) -> float:
-    """Buyer's side by reflection: the negative solve of the negated payoff."""
-    a, dv = terminal_layers(lattice, terminal)
-    return -solve_bsde(lattice, d, (-a, -dv)).y0
-
-
-def linear_price_oracle(lattice: Lattice, mp: MarketParams, terminal) -> float:
-    """Price a terminal payoff by the state-price density, path by path.
-
-    Each branch carries the weight p * (1 - (theta1 dW + theta2 dM)/(1 - q));
-    the per-path products are summed and discounted at the compounded
-    one-step rate.  Independent of the backward solver: this is the oracle
-    the perfect-market driver is checked against.
-    """
-    n = lattice.n_steps
-    if n > LINEAR_ORACLE_MAX_STEPS:
-        raise TooLarge(f"deflator oracle limited to {LINEAR_ORACLE_MAX_STEPS} steps, "
-                       f"lattice has {n}")
-    term_a, term_d = terminal_layers(lattice, terminal, n)
-    dt = lattice.dt
-    s = math.sqrt(dt)
-
-    alive_branches = []
-    dead_branches = []
-    for step in range(n):
-        r = float(lattice.r[step])
-        lam = float(lattice.lam[step])
-        q = float(lattice.q[step])
-        th1, th2 = theta_coefficients(mp, r, lam)
-        f_up_dead = 1.0 - th1 * s
-        f_dn_dead = 1.0 + th1 * s
-        if min(f_up_dead, f_dn_dead) <= 0.0:
-            raise DensityNotPositive(
-                f"post-default density factor <= 0 at step {step} (theta1 = {th1:.4g})")
-        dead_branches.append(((+1, 0.5 * f_up_dead), (-1, 0.5 * f_dn_dead)))
-        if q > 0.0:
-            f_up = 1.0 - (th1 * s - th2 * q) / (1.0 - q)
-            f_dn = 1.0 + (th1 * s + th2 * q) / (1.0 - q)
-            f_def = 1.0 - th2
-            if min(f_up, f_dn, f_def) <= 0.0:
-                raise DensityNotPositive(
-                    f"density factor <= 0 at step {step} "
-                    f"(theta1 = {th1:.4g}, theta2 = {th2:.4g})")
-            alive_branches.append(
-                ((+1, 0.5 * (1.0 - q) * f_up), (-1, 0.5 * (1.0 - q) * f_dn),
-                 (None, q * f_def)))
-        else:
-            alive_branches.append(((+1, 0.5 * f_up_dead), (-1, 0.5 * f_dn_dead)))
-
-    total = 0.0
-    stack = [(0, 0, False, 1.0)]
-    while stack:
-        step, j, dead, w = stack.pop()
-        if step == n:
-            total += w * (term_d[j] if dead else term_a[j])
-            continue
-        if dead:
-            for dj, pw in dead_branches[step]:
-                stack.append((step + 1, j + (dj > 0), True, w * pw))
-        else:
-            for dj, pw in alive_branches[step]:
-                if dj is None:
-                    stack.append((step + 1, j, True, w * pw))
-                else:
-                    stack.append((step + 1, j + (dj > 0), False, w * pw))
-
-    discount = float(np.prod(1.0 + lattice.r * dt))
-    return total / discount

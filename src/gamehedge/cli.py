@@ -85,8 +85,11 @@ def _node_rows(lattice, fields, fmt=repr):
 def _cmd_price(ns, built: BuiltScenario) -> int:
     lattice, p = built.lattice, built.payoff
     sol = solve_drbsde(lattice, built.driver, p)
-    # the buyer's price is the mirrored solve; for a family the driver is its envelope
-    buyer = -solve_drbsde(lattice, built.driver, p.reflected(lattice)).y0
+    # the buyer's price is the root of the mirrored sweep, which keeps no
+    # field; the seller solve has checked the driver's contraction condition
+    for layer in reflected_sweep(lattice, built.driver, *p.reflected(lattice).layers(lattice)):
+        pass  # the last layer yielded is the root
+    buyer = -float(layer[3][0])
     _write_csv(os.path.join(ns.out, "price.csv"),
                ["step", "j", "default_status", "Y", "Z", "K", "dA", "dA_prime"],
                _node_rows(lattice, [sol.y, sol.z, sol.k, sol.da, sol.dap]))

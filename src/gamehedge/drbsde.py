@@ -27,7 +27,7 @@ import numpy as np
 
 from .bsde import backward_sweep, implicit_continuation, node_fields, require_contraction
 from .drivers import Driver
-from .errors import BarrierViolation, NegativeDividend, TooLarge, UnknownNode
+from .errors import BarrierViolation, TooLarge
 from .lattice import DerivedField, Lattice, Node, NodeField
 
 # Bounds of the brute-force oracle: at most 500 stopping rules, so at most
@@ -147,26 +147,13 @@ class DrbsdeSolution:
         return self.y.root
 
 
-def _checked_dividends(lattice: Lattice, dividends) -> NodeField:
-    """Dividend increments as a NodeField; every one paid must be >= 0."""
-    if not isinstance(dividends, NodeField):
-        dividends = NodeField.from_function(lattice, dividends)
-    for k in range(lattice.n_steps):
-        for arr in (dividends.layer(k, False), dividends.layer(k, True)):
-            if not (arr >= 0.0).all():
-                raise NegativeDividend(
-                    f"dividend increment {np.min(arr):.6g} is not >= 0 at step {k}")
-    return dividends
-
-
-def reflected_sweep(lattice: Lattice, d: Driver, xi: NodeField, zeta: NodeField, *,
-                    dividends: NodeField | None = None):
+def reflected_sweep(lattice: Lattice, d: Driver, xi: NodeField, zeta: NodeField):
     """The reflected solve layer by layer, from the top down.
 
     Yields (step, defaulted, c, y, z, k, iterations) like
     `bsde.backward_sweep`, the terminal layer included (c = y = xi there,
     z = k = 0, no iterations); empty layers are skipped.  The caller has
-    checked the contraction condition and the dividends.
+    checked the contraction condition.
     """
     n = lattice.n_steps
     top = (xi.layer(n, False), xi.layer(n, True))
@@ -174,40 +161,27 @@ def reflected_sweep(lattice: Lattice, d: Driver, xi: NodeField, zeta: NodeField,
         if top[dflt].size:
             c = top[dflt].copy()
             yield n, dflt, c, c, np.zeros_like(c), np.zeros_like(c), 0
-    yield from backward_sweep(lattice, d, top, n, barriers=(xi, zeta), dividends=dividends)
+    yield from backward_sweep(lattice, d, top, n, barriers=(xi, zeta))
 
 
-def solve_drbsde(lattice: Lattice, d: Driver, p: PayoffSpec, *,
-                 dividends: NodeField | Callable | None = None) -> DrbsdeSolution:
+def solve_drbsde(lattice: Lattice, d: Driver, p: PayoffSpec) -> DrbsdeSolution:
     """Backward reflected solve.
 
-    Per layer: continuation c solves c = E[Y'] (+ dividend) + g(t,c,Z,K) dt,
+    Per layer: continuation c solves c = E[Y'] + g(t,c,Z,K) dt,
     then Y = clip(c, xi, zeta) and the increments are the exact projection
     residuals dA = (xi-c)^+ on {c < xi}, dA' = (c-zeta)^+ on {c > zeta}.
     Only c, z and k are stored; see DrbsdeSolution.
-    dividends: callable (t, s1, defaulted) -> increment earned over
-    [t, t+dt), or a NodeField of increments; NegativeDividend is raised
-    unless every increment is >= 0.
     """
     require_contraction(d, lattice)
-    if dividends is not None:
-        dividends = _checked_dividends(lattice, dividends)
     xi, zeta = p.layers(lattice)
     rows = {}
     iters = 0
-    for step, dflt, c, _, z, k, it in reflected_sweep(lattice, d, xi, zeta,
-                                                      dividends=dividends):
+    for step, dflt, c, _, z, k, it in reflected_sweep(lattice, d, xi, zeta):
         rows[step, dflt] = (c, z, k)
         iters += it
     cont, z, kf = node_fields(lattice, rows, 3)
     return DrbsdeSolution(lattice=lattice, continuation=cont, z=z, k=kf,
                           xi=xi, zeta=zeta, iterations=iters)
-
-
-def price_at_node(sol: DrbsdeSolution, node: Node) -> float:
-    """The holder-facing price surface evaluated at one scenario node."""
-    sol.lattice.check_node(node)
-    return sol.y.at(node)
 
 
 def enumerate_stopping_rules(lattice: Lattice) -> list[NodeField]:

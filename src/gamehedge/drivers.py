@@ -95,13 +95,6 @@ def _perfect_coefficients(mp: MarketParams):
     return c
 
 
-def theta_coefficients(mp: MarketParams, r: float, lam: float) -> tuple[float, float]:
-    """Market prices of risk at one step: (theta1, theta2); theta2 = 0 where lam = 0."""
-    th1 = (mp.mu1 - r) / mp.sigma1
-    th2 = (mp.sigma2 * th1 - mp.mu2 + r) / lam if lam > 0 else 0.0
-    return th1, th2
-
-
 def make_builtin_driver(kind: str, mp: MarketParams, *, borrow_rate: float | None = None,
                         tax_rate: float | None = None) -> Driver:
     """Builtin generators.
@@ -361,10 +354,6 @@ class AmbiguityFamily:
 
         return Driver(envelope, self.lambda_constant,
                       label=f"sup({self.label or 'family'})")
-
-    def argmax(self, ctx, y, z, k) -> np.ndarray:
-        """Lowest grid index attaining the envelope, per evaluation point."""
-        return np.argmax(self.stacked(ctx, y, z, k), axis=0)
 
 
 def audit_family(fam: AmbiguityFamily, lattice: Lattice) -> list[AuditReport]:

@@ -43,22 +43,12 @@ class PicardDivergence(GameHedgeError):
     exit_code = 2
 
 
-class DensityNotPositive(GameHedgeError):
-    """A state-price density factor is nonpositive on some branch."""
-
-    exit_code = 2
-
-
 class BarrierViolation(GameHedgeError):
     """Lower barrier exceeds upper barrier at some node."""
 
     def __init__(self, message, node=None):
         super().__init__(message)
         self.node = node
-
-
-class NegativeDividend(GameHedgeError):
-    """A dividend increment is negative at some node."""
 
 
 class TooLarge(GameHedgeError):
@@ -77,16 +67,6 @@ class MismatchedInstances(GameHedgeError):
     """Two solutions do not live on the same lattice."""
 
     exit_code = 2
-
-
-class PreconditionViolated(GameHedgeError):
-    """Caller data violates a comparison hypothesis; carries the step index."""
-
-    exit_code = 2
-
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
 
 
 class ScenarioError(GameHedgeError):

@@ -102,27 +102,6 @@ def stopping_time(sol: DrbsdeSolution, p: PayoffSpec, kind: str,
                         eps=eps, xi=xi, zeta=zeta)
 
 
-def rule_from_flags(lattice: Lattice, flags: NodeField, p: PayoffSpec,
-                    kind: str = "user", eps: float | None = None) -> StoppingRule:
-    xi, zeta = p.layers(lattice)
-    flags = NodeField([np.asarray(a, dtype=bool).copy() for a in flags.alive],
-                      [np.asarray(d, dtype=bool).copy() for d in flags.defaulted])
-    return StoppingRule(flags=_force_terminal(flags, lattice), kind=kind,
-                        eps=eps, xi=xi, zeta=zeta)
-
-
-def sigma_bar_rule(sol: DrbsdeSolution, p: PayoffSpec) -> StoppingRule:
-    """Stop at the first node whose upper reflecting increment acts.
-
-    There the continuation exceeds the barrier, so Y sits on it; stopping
-    then keeps the upper increment at zero along the stopped trajectory,
-    which is all the dominance argument needs.
-    """
-    flags = NodeField([a > 0 for a in sol.dap.alive],
-                      [d > 0 for d in sol.dap.defaulted])
-    return rule_from_flags(sol.lattice, flags, p, kind="user")
-
-
 @dataclass
 class WealthReport:
     """Node-indexed outcome of a forward wealth certificate.

@@ -85,17 +85,6 @@ class Node:
 
 
 @dataclass(frozen=True)
-class Transition:
-    """One branch out of a node."""
-
-    node: Node
-    probability: float
-    dw: float
-    dn: int
-    dm: float
-
-
-@dataclass(frozen=True)
 class StepContext:
     """Per-layer evaluation context passed to drivers.
 
@@ -141,14 +130,21 @@ class NodeField:
                 defaulted.append(np.zeros(0))
         return cls(alive, defaulted)
 
+    @property
+    def n_steps(self) -> int:
+        return len(self.alive) - 1
+
     def layer(self, k: int, defaulted: bool) -> np.ndarray:
         return self.defaulted[k] if defaulted else self.alive[k]
 
     def at(self, node: Node) -> float:
-        layer = self.layer(node.step, node.defaulted)
-        if node.j < 0 or node.j >= layer.shape[0]:
-            raise UnknownNode(f"no such node: {node}")
-        return float(layer[node.j])
+        """The value at one node; UnknownNode unless the step is in
+        [0, n_steps] and j indexes its layer."""
+        if 0 <= node.step <= self.n_steps:
+            layer = self.layer(node.step, node.defaulted)
+            if 0 <= node.j < layer.shape[0]:
+                return float(layer[node.j])
+        raise UnknownNode(f"no such node: {node}")
 
     @property
     def root(self) -> float:
@@ -169,6 +165,10 @@ class DerivedField(NodeField):
     def __init__(self, n_steps: int, fn):
         self._n_steps = n_steps
         self._fn = fn
+
+    @property
+    def n_steps(self) -> int:
+        return self._n_steps
 
     def layer(self, k: int, defaulted: bool) -> np.ndarray:
         a = self._fn(k, defaulted)
@@ -223,13 +223,6 @@ class Lattice:
         # none on a default-free lattice and none at the root.
         return k if (self.has_default and k >= 1) else 0
 
-    def check_node(self, node: Node) -> None:
-        if node.step < 0 or node.step > self.n_steps:
-            raise UnknownNode(f"step out of range: {node}")
-        size = self.defaulted_size(node.step) if node.defaulted else self.alive_size(node.step)
-        if node.j < 0 or node.j >= size:
-            raise UnknownNode(f"layer index out of range: {node}")
-
     def step_context(self, k: int, defaulted: bool) -> StepContext:
         lam = 0.0 if defaulted else float(self.lam[k])
         s1 = self.s1_defaulted[k] if defaulted else self.s1_alive[k]
@@ -239,58 +232,14 @@ class Lattice:
             defaulted=defaulted, s1=s1, s2=s2,
         )
 
-    def transitions(self, node: Node) -> list[Transition]:
-        """Branches out of a node, in canonical order (up, down[, default])."""
-        self.check_node(node)
-        if node.step >= self.n_steps:
-            raise UnknownNode(f"terminal node has no transitions: {node}")
-        k, j, s = node.step, node.j, self.sqrt_dt
-        if node.defaulted:
-            return [
-                Transition(Node(k + 1, j + 1, True), 0.5, s, 0, 0.0),
-                Transition(Node(k + 1, j, True), 0.5, -s, 0, 0.0),
-            ]
-        qk = float(self.q[k])
-        if qk == 0.0:
-            return [
-                Transition(Node(k + 1, j + 1, False), 0.5, s, 0, 0.0),
-                Transition(Node(k + 1, j, False), 0.5, -s, 0, 0.0),
-            ]
-        return [
-            Transition(Node(k + 1, j + 1, False), 0.5 * (1.0 - qk), s, 0, -qk),
-            Transition(Node(k + 1, j, False), 0.5 * (1.0 - qk), -s, 0, -qk),
-            Transition(Node(k + 1, j, True), qk, 0.0, 1, 1.0 - qk),
-        ]
-
-    def conditional_expectation(self, node: Node, values) -> tuple[float, float, float]:
-        """Regress successor values on {1, dW, dM}.
-
-        values: successor values in transition order.  Returns (mean, z, k)
-        with z = E[v dW]/Var(dW) and k = E[v dM]/(lam dt (1 - lam dt)),
-        k = 0 at defaulted nodes and where the intensity vanishes.  The
-        affine reconstruction mean + z dW + k dM reproduces the successor
-        values exactly on every branch.
-        """
-        trans = self.transitions(node)
-        v = np.asarray(values, dtype=float)
-        if v.shape != (len(trans),):
-            raise InvalidParams(f"expected {len(trans)} successor values, got {v.shape}")
-        p = np.array([tr.probability for tr in trans])
-        dw = np.array([tr.dw for tr in trans])
-        dm = np.array([tr.dm for tr in trans])
-        mean = float(p @ v)
-        var_w = float(p @ dw**2)
-        z = float(p @ (v * dw)) / var_w if var_w > 0 else 0.0
-        var_m = float(p @ dm**2)
-        kk = float(p @ (v * dm)) / var_m if var_m > 0 else 0.0
-        return mean, z, kk
-
     def layer_regression(self, k: int, next_alive: np.ndarray, next_defaulted: np.ndarray):
         """Vectorized (mean, z, k) for every node of layer k from layer k+1 values.
 
         Returns (m_a, z_a, k_a, m_d, z_d); the defaulted-layer jump
-        integrand is identically zero.  Closed forms (algebraically equal
-        to conditional_expectation):
+        integrand is identically zero.  Closed forms of the regression of
+        the successor values on {1, dW, dM} (up and down: dW = +-sqrt(dt),
+        dM = -q; default: dW = 0, dM = 1 - q), checked against the scalar
+        per-node regression in tests/transition_oracle.py:
 
             z = (v_up - v_down) / (2 sqrt(dt))
             k = v_default - (v_up + v_down) / 2      (pre-default, lam > 0)

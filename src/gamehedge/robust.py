@@ -24,22 +24,11 @@ from typing import Callable
 import numpy as np
 
 from .bsde import backward_sweep
-from .drbsde import (
-    DrbsdeSolution,
-    PayoffSpec,
-    enumerate_stopping_rules,
-    solve_drbsde,
-    stopped_pair_values,
-)
+from .drbsde import DrbsdeSolution, PayoffSpec, solve_drbsde
 from .drivers import AmbiguityFamily, Driver, audit_family
-from .errors import NuOutOfRange, TooLarge
+from .errors import NuOutOfRange
 from .hedging import WealthReport, extract_strategy, simulate_wealth, stopping_time
 from .lattice import Lattice, NodeField
-
-TOL_ROBUST = 1e-10
-# the interchange check values every rule pair under every control
-INTERCHANGE_MAX_STEPS = 3
-
 
 @dataclass
 class RobustResult:
@@ -139,53 +128,6 @@ def robust_certificate(lattice: Lattice, fam: AmbiguityFamily, p: PayoffSpec,
                            reference=sol.y)
 
 
-@dataclass
-class InterchangeReport:
-    sup_inf_over_alpha: float       # max over controls of (min-max in stopping)
-    inf_sup_over_alpha: float       # min over cancellation of max over (control, exercise)
-    v0_via_G: float
-    n_rules: int
-    n_controls: int
-
-    @property
-    def gap(self) -> float:
-        return abs(self.sup_inf_over_alpha - self.inf_sup_over_alpha)
-
-    @property
-    def ok(self) -> bool:
-        return (self.gap <= TOL_ROBUST
-                and abs(self.sup_inf_over_alpha - self.v0_via_G) <= TOL_ROBUST)
-
-
-def interchange_check(lattice: Lattice, fam: AmbiguityFamily,
-                      p: PayoffSpec) -> InterchangeReport:
-    """Order-of-optimization identity by full enumeration.
-
-    Values every (stopping pair, control) combination, where the controls
-    are the grid constants plus the frozen per-node worst case; the maxmin
-    over controls and the minmax over cancellation must agree with each
-    other and with the envelope price.
-    """
-    if lattice.n_steps > INTERCHANGE_MAX_STEPS:
-        raise TooLarge(f"interchange enumeration limited to {INTERCHANGE_MAX_STEPS} steps")
-    result = robust_seller_price(lattice, fam, p)
-    rules = enumerate_stopping_rules(lattice)
-    drivers = fam.members() + [frozen_control_driver(fam, result.worst_alpha)]
-    mats = np.stack([stopped_pair_values(lattice, dr, p, rules, rules)
-                     for dr in drivers])
-    # mats[a, tau, sigma]
-    per_control = mats.max(axis=1).min(axis=1)        # inf_sigma sup_tau, per control
-    a_value = float(per_control.max())
-    b_value = float(mats.max(axis=(0, 1)).min())      # inf_sigma sup over (control, tau)
-    return InterchangeReport(
-        sup_inf_over_alpha=a_value,
-        inf_sup_over_alpha=b_value,
-        v0_via_G=result.v0_via_G,
-        n_rules=len(rules),
-        n_controls=len(drivers),
-    )
-
-
 def default_ambiguity_family(f: Driver, nu: Callable, u_grid,
                              lattice: Lattice, *,
                              margin: float = 1e-9) -> AmbiguityFamily:
@@ -215,12 +157,3 @@ def default_ambiguity_family(f: Driver, nu: Callable, u_grid,
     constant = f.lambda_constant + nu_max * np.sqrt(lam_max)
     return AmbiguityFamily(u_grid=grid, fn=fn, lambda_constant=float(constant),
                            label="intensity-tilt")
-
-
-def robust_buyer_price(lattice: Lattice, fam: AmbiguityFamily, p: PayoffSpec, *,
-                       audit: bool = True) -> float:
-    """Mirror of the robust seller: envelope solve on barriers (-zeta, -xi)."""
-    if audit:
-        for report in audit_family(fam, lattice):
-            report.require()
-    return -solve_drbsde(lattice, fam.sup_driver(), p.reflected(lattice)).y0

@@ -24,7 +24,7 @@ def implicit_continuation(ctx: StepContext, d: Driver, base, z, k, dt: float,
                           max_iter: int = PICARD_MAX_ITER):
     """Solve y = base + g(ctx, y, z, k) * dt for y; returns (y, iterations).
 
-    base absorbs the successor mean plus any source term (dividends).
+    base is the successor mean.
     Convergence is geometric with ratio <= C * dt; the caller must have
     checked the contraction condition.
     """
@@ -106,12 +106,11 @@ class ReflectedSolution:
 
 
 def solve_drbsde(lattice: Lattice, d: Driver, p: PayoffSpec, *,
-                 dividends: NodeField | None = None,
                  picard_tol: float = PICARD_TOL,
                  max_iter: int = PICARD_MAX_ITER) -> ReflectedSolution:
     """Backward reflected solve.
 
-    Per layer: continuation c solves c = E[Y'] (+ dividend) + g(t,c,Z,K) dt,
+    Per layer: continuation c solves c = E[Y'] + g(t,c,Z,K) dt,
     then Y = clip(c, xi, zeta) and the increments are the exact projection
     residuals dA = (xi-c)^+ on {c < xi}, dA' = (c-zeta)^+ on {c > zeta}.
     """
@@ -137,8 +136,6 @@ def solve_drbsde(lattice: Lattice, d: Driver, p: PayoffSpec, *,
                                         (True, m_d, z_d, np.zeros_like(m_d))):
             if base.size == 0:
                 continue
-            if dividends is not None:
-                base = base + dividends.layer(step, defaulted)
             ctx = lattice.step_context(step, defaulted)
             c, it = implicit_continuation(ctx, d, base, zl, kl, dt, picard_tol, max_iter)
             iters += it

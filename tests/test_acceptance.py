@@ -19,8 +19,6 @@ from gamehedge import (
     default_ambiguity_family,
     dynkin_bruteforce,
     extract_strategy,
-    interchange_check,
-    linear_price_oracle,
     make_builtin_driver,
     robust_certificate,
     robust_seller_price,
@@ -36,6 +34,8 @@ from instances import (
     random_instance,
     skorokhod_exact,
 )
+from interchange_oracle import interchange_check
+from linear_oracle import linear_price_oracle
 
 
 def _nodewise_min_gap(lattice, hi, lo):

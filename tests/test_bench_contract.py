@@ -32,6 +32,7 @@ def test_every_traced_target_resolves():
 
 @pytest.mark.parametrize("workload,slot", [
     ("cli_desk", "oracle_3_tax"),
+    ("cli_desk", "price_48_borrow_lend"),
     ("certify_paths", "hedge_star_13_perfect"),
     ("certify_paths", "robust_12_perfect_4"),
     ("sweep_deep", "european_600_nodefault"),

@@ -5,21 +5,20 @@ import pytest
 
 from gamehedge import LatticeParams, MarketParams, Node, build_lattice
 from gamehedge.bsde import (
-    buyer_european_price,
     comparison_region_ok,
     implicit_continuation,
-    linear_price_oracle,
     solve_bsde,
     terminal_layers,
 )
 from gamehedge.drivers import Driver, make_builtin_driver
 from gamehedge.errors import (
-    DensityNotPositive,
     InvalidParams,
     NoContraction,
     PicardDivergence,
     TooLarge,
 )
+from linear_oracle import DensityNotPositive, linear_price_oracle
+from transition_oracle import transitions
 
 
 def market(**kw):
@@ -50,7 +49,7 @@ def forward_replay_error(lattice, d, sol):
         zv = sol.z.at(node)
         kv = sol.k.at(node)
         g = float(d(ctx, v, zv, kv)) if np.isscalar(d(ctx, v, zv, kv)) else float(np.asarray(d(ctx, v, zv, kv)).ravel()[node.j])
-        for tr in lattice.transitions(node):
+        for tr in transitions(lattice, node):
             v2 = v - g * dt + zv * tr.dw + kv * tr.dm
             worst = max(worst, abs(v2 - sol.y.at(tr.node)))
             stack.append((tr.node, v2))
@@ -190,7 +189,9 @@ def test_buyer_equals_seller_for_linear_driver():
     d = make_builtin_driver("perfect", mp)
     terminal = lambda t, s1, defaulted: np.maximum(s1 - 1.0, 0.0)
     seller = solve_bsde(lat, d, terminal).y0
-    buyer = buyer_european_price(lat, d, terminal)
+    # the buyer's side by reflection: the negative solve of the negated payoff
+    a, dv = terminal_layers(lat, terminal)
+    buyer = -solve_bsde(lat, d, (-a, -dv)).y0
     assert buyer == seller
 
 
@@ -200,7 +201,8 @@ def test_buyer_below_seller_for_convex_driver():
     d = make_builtin_driver("borrow_lend", mp, borrow_rate=0.06)
     terminal = lambda t, s1, defaulted: np.maximum(s1 - 1.0, 0.0)
     seller = solve_bsde(lat, d, terminal).y0
-    buyer = buyer_european_price(lat, d, terminal)
+    a, dv = terminal_layers(lat, terminal)
+    buyer = -solve_bsde(lat, d, (-a, -dv)).y0
     assert buyer <= seller + 1e-14
 
 
@@ -208,7 +210,8 @@ def test_buyer_zero_terminal():
     mp = market()
     lat = lattice_for(mp)
     d = make_builtin_driver("tax", mp, tax_rate=0.3)
-    assert buyer_european_price(lat, d, 0.0) == 0.0
+    a, dv = terminal_layers(lat, 0.0)
+    assert -solve_bsde(lat, d, (-a, -dv)).y0 == 0.0
 
 
 def test_no_contraction():

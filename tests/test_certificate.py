@@ -20,13 +20,12 @@ from gamehedge import (
     build_lattice,
     comparison_region_ok,
     extract_strategy,
-    rule_from_flags,
-    sigma_bar_rule,
     simulate_wealth,
     solve_drbsde,
     stopping_time,
 )
 from instances import KINDS, draw_driver, draw_market, draw_payoff
+from rule_oracle import rule_from_flags, sigma_bar_rule
 
 RULES = ("sigma_star", "sigma_eps", "tau_star", "sigma_bar", "user")
 

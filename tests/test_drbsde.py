@@ -5,9 +5,7 @@ from gamehedge import (
     BarrierViolation,
     LatticeParams,
     MarketParams,
-    NegativeDividend,
     Node,
-    NodeField,
     PayoffSpec,
     TooLarge,
     UnknownNode,
@@ -16,7 +14,6 @@ from gamehedge import (
     dynkin_bruteforce,
     enumerate_stopping_rules,
     make_builtin_driver,
-    price_at_node,
     solve_bsde,
     solve_drbsde,
     stopped_pair_values,
@@ -195,40 +192,6 @@ def test_dp_equals_bruteforce_randomized():
     assert checked >= 25
 
 
-def test_dividend_stream():
-    mp = make_market()
-    lattice = build_lattice(LatticeParams(horizon=1.0, n_steps=4), mp)
-    d = make_builtin_driver("perfect", mp)
-    p = const_band(lattice, -1e6, 1e6, lambda s1: 5.0 + 0.0 * s1)
-
-    plain = solve_drbsde(lattice, d, p)
-    wdiv = solve_drbsde(lattice, d, p, dividends=lambda t, s1, defaulted: 0.03 + 0.0 * s1)
-    assert wdiv.y0 == pytest.approx(5.0 + 4 * 0.03, abs=1e-14)
-
-    zero = solve_drbsde(lattice, d, p, dividends=lambda t, s1, defaulted: 0.0 * s1)
-    for k in range(lattice.n_steps + 1):
-        assert np.array_equal(zero.y.alive[k], plain.y.alive[k])
-
-    with pytest.raises(NegativeDividend):
-        solve_drbsde(lattice, d, p, dividends=lambda t, s1, defaulted: -0.01 + 0.0 * s1)
-
-
-def test_dividends_refused_unless_nonnegative():
-    mp = make_market(r=0.02, lambda_bar=0.3)
-    lattice = build_lattice(LatticeParams(horizon=1.0, n_steps=6), mp)
-    d = make_builtin_driver("perfect", mp)
-    p = PayoffSpec(xi=lambda t, s1, dflt: np.maximum(s1 - 1.0, 0.0),
-                   zeta=lambda t, s1, dflt: np.maximum(s1 - 1.0, 0.0) + 1.0)
-    field = NodeField.from_function(lattice, lambda t, s1, dflt: 0.001 + 0.0 * s1)
-    assert solve_drbsde(lattice, d, p, dividends=field).y0 > solve_drbsde(lattice, d, p).y0
-    field.defaulted[3][1] = -1e-3
-    with pytest.raises(NegativeDividend, match="at step 3"):
-        solve_drbsde(lattice, d, p, dividends=field)
-    with pytest.raises(NegativeDividend, match="nan is not >= 0 at step 2"):
-        solve_drbsde(lattice, d, p,
-                     dividends=lambda t, s1, dflt: np.where(t > 0.3, np.nan, 0.0) + 0.0 * s1)
-
-
 def test_monotone_in_barriers_and_driver():
     mp = make_market(r=0.02, mu1=0.06, sigma1=0.3, lambda_bar=0.25, mu2=0.1)
     lattice = build_lattice(LatticeParams(horizon=1.0, n_steps=5), mp)
@@ -280,17 +243,20 @@ def test_price_at_node_and_unknown_nodes():
     p = const_band(lattice, 0.0, 2.0, lambda s1: np.minimum(s1, 2.0))
     sol = solve_drbsde(lattice, d, p)
 
-    assert price_at_node(sol, Node(0, 0)) == sol.y0
-    term = price_at_node(sol, Node(3, 2))
+    assert sol.y.at(Node(0, 0)) == sol.y0
+    term = sol.y.at(Node(3, 2))
     assert term == sol.y.alive[3][2]
-    assert price_at_node(sol, Node(2, 1, defaulted=True)) == sol.y.defaulted[2][1]
-    for bad in (Node(4, 0), Node(1, 5), Node(2, -1), Node(0, 0, defaulted=True)):
-        with pytest.raises(UnknownNode):
-            price_at_node(sol, bad)
+    assert sol.y.at(Node(2, 1, defaulted=True)) == sol.y.defaulted[2][1]
+    # y is derived on read, z is stored: both refuse the same nodes
+    for field in (sol.y, sol.z):
+        for bad in (Node(4, 0), Node(1, 5), Node(2, -1), Node(0, 0, defaulted=True),
+                    Node(-1, 0)):
+            with pytest.raises(UnknownNode):
+                field.at(bad)
     lam0 = build_lattice(LatticeParams(horizon=1.0, n_steps=3), make_market())
     sol0 = solve_drbsde(lam0, make_builtin_driver("perfect", make_market()), p)
     with pytest.raises(UnknownNode):
-        price_at_node(sol0, Node(1, 0, defaulted=True))
+        sol0.y.at(Node(1, 0, defaulted=True))
 
 
 def test_too_large_guards():

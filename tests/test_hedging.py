@@ -19,13 +19,12 @@ from gamehedge import (
     extract_strategy,
     integrands_of,
     make_builtin_driver,
-    rule_from_flags,
-    sigma_bar_rule,
     simulate_wealth,
     solve_drbsde,
     stopped_pair_values,
     stopping_time,
 )
+from rule_oracle import rule_from_flags, sigma_bar_rule
 
 
 def make_market(r=0.0, mu1=0.0, sigma1=0.3, mu2=0.1, sigma2=0.2,

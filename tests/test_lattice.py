@@ -12,6 +12,7 @@ from gamehedge import (
     UnknownNode,
     build_lattice,
 )
+from transition_oracle import conditional_expectation, transitions
 
 
 def small_lattice(lam=0.4, n_steps=4, horizon=1.0, r=0.02):
@@ -25,7 +26,7 @@ def small_lattice(lam=0.4, n_steps=4, horizon=1.0, r=0.02):
 
 def test_branch_probabilities_without_default():
     lat = small_lattice(lam=0.0)
-    trans = lat.transitions(Node(0, 0))
+    trans = transitions(lat, Node(0, 0))
     assert [tr.probability for tr in trans] == [0.5, 0.5]
     assert all(tr.dm == 0.0 for tr in trans)
     assert all(not tr.node.defaulted for tr in trans)
@@ -34,7 +35,7 @@ def test_branch_probabilities_without_default():
 def test_branch_probabilities_with_default():
     # q = lambda dt = 0.4 * 0.25 = 0.1
     lat = small_lattice(lam=0.4)
-    trans = lat.transitions(Node(1, 0))
+    trans = transitions(lat, Node(1, 0))
     probs = [tr.probability for tr in trans]
     assert probs == pytest.approx([0.45, 0.45, 0.1], abs=0)
     assert trans[2].node.defaulted and trans[2].dn == 1
@@ -44,7 +45,7 @@ def test_branch_probabilities_with_default():
 def test_increment_moments_vanish():
     lat = small_lattice(lam=0.4)
     for node in [Node(0, 0), Node(2, 1), Node(2, 0, True)]:
-        trans = lat.transitions(node)
+        trans = transitions(lat, node)
         p = np.array([tr.probability for tr in trans])
         dw = np.array([tr.dw for tr in trans])
         dm = np.array([tr.dm for tr in trans])
@@ -67,8 +68,8 @@ def test_node_counts():
 def test_regression_constant():
     lat = small_lattice()
     node = Node(1, 1)
-    n_succ = len(lat.transitions(node))
-    m, z, k = lat.conditional_expectation(node, [3.25] * n_succ)
+    n_succ = len(transitions(lat, node))
+    m, z, k = conditional_expectation(lat, node, [3.25] * n_succ)
     assert m == pytest.approx(3.25, abs=1e-14)
     assert z == pytest.approx(0.0, abs=1e-14)
     assert k == pytest.approx(0.0, abs=1e-14)
@@ -77,8 +78,8 @@ def test_regression_constant():
 def test_regression_recovers_dw():
     lat = small_lattice()
     node = Node(1, 0)
-    dw = [tr.dw for tr in lat.transitions(node)]
-    m, z, k = lat.conditional_expectation(node, dw)
+    dw = [tr.dw for tr in transitions(lat, node)]
+    m, z, k = conditional_expectation(lat, node, dw)
     assert m == pytest.approx(0.0, abs=1e-14)
     assert z == pytest.approx(1.0, abs=1e-14)
     assert k == pytest.approx(0.0, abs=1e-14)
@@ -88,8 +89,8 @@ def test_regression_recovers_dm():
     # q = 0.1 here; the jump-basis regression must return exactly (0, 0, 1)
     lat = small_lattice(lam=0.4)
     node = Node(2, 1)
-    dm = [tr.dm for tr in lat.transitions(node)]
-    m, z, k = lat.conditional_expectation(node, dm)
+    dm = [tr.dm for tr in transitions(lat, node)]
+    m, z, k = conditional_expectation(lat, node, dm)
     assert m == pytest.approx(0.0, abs=1e-14)
     assert z == pytest.approx(0.0, abs=1e-14)
     assert k == pytest.approx(1.0, abs=1e-14)
@@ -99,9 +100,9 @@ def test_regression_reconstructs_exactly():
     rng = np.random.default_rng(7)
     lat = small_lattice(lam=0.4)
     for node in [Node(0, 0), Node(2, 2), Node(3, 1), Node(3, 2, True)]:
-        trans = lat.transitions(node)
+        trans = transitions(lat, node)
         v = rng.normal(size=len(trans))
-        m, z, k = lat.conditional_expectation(node, v)
+        m, z, k = conditional_expectation(lat, node, v)
         for tr, val in zip(trans, v):
             assert m + z * tr.dw + k * tr.dm == pytest.approx(val, abs=1e-13)
 
@@ -114,16 +115,16 @@ def test_layer_regression_matches_nodewise():
     next_def = rng.normal(size=lat.defaulted_size(k + 1))
     m_a, z_a, k_a, m_d, z_d = lat.layer_regression(k, next_alive, next_def)
     for j in range(lat.alive_size(k)):
-        trans = lat.transitions(Node(k, j))
+        trans = transitions(lat, Node(k, j))
         v = [next_def[tr.node.j] if tr.node.defaulted else next_alive[tr.node.j] for tr in trans]
-        m, z, kk = lat.conditional_expectation(Node(k, j), v)
+        m, z, kk = conditional_expectation(lat, Node(k, j), v)
         assert m_a[j] == pytest.approx(m, abs=1e-13)
         assert z_a[j] == pytest.approx(z, abs=1e-13)
         assert k_a[j] == pytest.approx(kk, abs=1e-13)
     for j in range(lat.defaulted_size(k)):
-        trans = lat.transitions(Node(k, j, True))
+        trans = transitions(lat, Node(k, j, True))
         v = [next_def[tr.node.j] for tr in trans]
-        m, z, kk = lat.conditional_expectation(Node(k, j, True), v)
+        m, z, kk = conditional_expectation(lat, Node(k, j, True), v)
         assert m_d[j] == pytest.approx(m, abs=1e-13)
         assert z_d[j] == pytest.approx(z, abs=1e-13)
         assert kk == 0.0
@@ -133,7 +134,7 @@ def test_jump_integrand_zero_when_no_intensity():
     lat = small_lattice(lam=0.0)
     rng = np.random.default_rng(3)
     v = rng.normal(size=2)
-    _, _, k = lat.conditional_expectation(Node(1, 0), v)
+    _, _, k = conditional_expectation(lat, Node(1, 0), v)
     assert k == 0.0
 
 
@@ -161,9 +162,9 @@ def test_asset_grids():
 def test_default_transition_indexing():
     # alive (k, j) defaults to defaulted index j; defaulted (k, i) moves to i+1 / i
     lat = small_lattice(lam=0.4, n_steps=4)
-    trans = lat.transitions(Node(2, 1))
+    trans = transitions(lat, Node(2, 1))
     assert trans[2].node == Node(3, 1, True)
-    dtrans = lat.transitions(Node(2, 1, True))
+    dtrans = transitions(lat, Node(2, 1, True))
     assert dtrans[0].node == Node(3, 2, True)
     assert dtrans[1].node == Node(3, 1, True)
     # levels line up: defaulting freezes the Brownian level
@@ -233,6 +234,6 @@ def test_per_step_sequences():
     assert lat.q.tolist() == [0.0, 0.05, 0.05, 0.0]
     assert lat.has_default
     # no default branch where the intensity is zero
-    assert len(lat.transitions(Node(0, 0))) == 2
-    assert len(lat.transitions(Node(1, 0))) == 3
+    assert len(transitions(lat, Node(0, 0))) == 2
+    assert len(transitions(lat, Node(1, 0))) == 3
     assert lat.s0[4] == pytest.approx(math.exp((0.01 + 0.02 + 0.03 + 0.04) * 0.25), rel=1e-14)

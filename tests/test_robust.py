@@ -10,15 +10,14 @@ from gamehedge import (
     NuOutOfRange,
     PayoffSpec,
     TooLarge,
+    audit_family,
     buyer_superhedge,
     build_lattice,
     comparison_region_ok,
     default_ambiguity_family,
     dynkin_bruteforce,
     extract_strategy,
-    interchange_check,
     make_builtin_driver,
-    robust_buyer_price,
     robust_certificate,
     robust_seller_price,
     simulate_wealth,
@@ -26,6 +25,7 @@ from gamehedge import (
     stopping_time,
 )
 from instances import random_instance
+from interchange_oracle import interchange_check
 
 
 def make_market(r=0.01, mu1=0.04, sigma1=0.3, mu2=0.1, sigma2=0.2,
@@ -273,13 +273,14 @@ def test_robust_buyer():
     lattice = build_lattice(LatticeParams(horizon=0.75, n_steps=3), mp)
     p = band_spec()
 
+    # the robust buyer's price is the buyer's price under the envelope driver
     single = tilt_family(lattice, mp, [0.2])
-    b = robust_buyer_price(lattice, single, p)
+    b = buyer_superhedge(lattice, single.sup_driver(), p).price
     direct = buyer_superhedge(lattice, single.member(0), p)
     assert b == direct.price
 
     fam = tilt_family(lattice, mp, [-0.3, 0.1, 0.4])
-    rb = robust_buyer_price(lattice, fam, p)
+    rb = buyer_superhedge(lattice, fam.sup_driver(), p).price
     for d in fam.members():
         assert rb <= buyer_superhedge(lattice, d, p).price + 1e-12
     # wiring: buyer is the mirrored seller, sign flipped
@@ -298,8 +299,9 @@ def test_robust_buyer_audits_the_family():
                           fn=lambda ctx, y, z, k, a: 1.0 * y + base(ctx, y, z, k),
                           lambda_constant=base.lambda_constant)
     with pytest.raises(AuditFailure):
-        robust_buyer_price(lattice, fam, band_spec())
-    assert np.isfinite(robust_buyer_price(lattice, fam, band_spec(), audit=False))
+        for report in audit_family(fam, lattice):
+            report.require()
+    assert np.isfinite(buyer_superhedge(lattice, fam.sup_driver(), band_spec()).price)
 
 
 def test_batched_member_solves_match_loop():

@@ -273,9 +273,9 @@ def test_cli_help_exits_0(capsys, argv):
 # each error type's exit code, as the CLI's parse and solver tuples gave it
 EXIT_CODES = {
     "ScenarioError": 1, "AuditFailure": 1, "BarrierViolation": 1, "InvalidParams": 1,
-    "NuOutOfRange": 1, "EmptyGrid": 1, "NegativeDividend": 1,
-    "NoContraction": 2, "PicardDivergence": 2, "DensityNotPositive": 2, "TooLarge": 2,
-    "UnknownNode": 2, "MismatchedInstances": 2, "PreconditionViolated": 2,
+    "NuOutOfRange": 1, "EmptyGrid": 1,
+    "NoContraction": 2, "PicardDivergence": 2, "TooLarge": 2,
+    "UnknownNode": 2, "MismatchedInstances": 2,
 }
 
 

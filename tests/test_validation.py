@@ -12,15 +12,14 @@ from gamehedge import (
     MismatchedInstances,
     PayoffSpec,
     PicardDivergence,
-    PreconditionViolated,
     apriori_check,
     build_lattice,
     make_builtin_driver,
-    ode_compare,
-    rule_from_flags,
     simulate_wealth,
     solve_drbsde,
 )
+from comparison_oracle import PreconditionViolated, ode_compare
+from rule_oracle import rule_from_flags
 from gamehedge.hedging import Strategy
 from gamehedge.lattice import NodeField
 
